@@ -2,17 +2,21 @@
  * @file
  * google-benchmark microbenchmarks of the building blocks: the
  * make-span simulator, the IAR scheduler (its O(N + M log M) claim),
- * the online adaptive runtime, the compile queue, the Zipf sampler
- * and the n-gram predictor.
+ * the online adaptive runtime, the compile queue, the Zipf sampler,
+ * the n-gram predictor, and the wire protocol's request reader and
+ * workload writer (reported in bytes/s).
  */
 
 #include <benchmark/benchmark.h>
 
 #include "core/iar.hh"
 #include "predictor/ngram.hh"
+#include "service/protocol.hh"
 #include "sim/compile_queue.hh"
 #include "sim/makespan.hh"
+#include "trace/dacapo.hh"
 #include "trace/synthetic.hh"
+#include "trace/trace_io.hh"
 #include "vm/adaptive_runtime.hh"
 #include "vm/cost_benefit.hh"
 
@@ -152,6 +156,48 @@ BM_NGramExtrapolate(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 50'000);
 }
 BENCHMARK(BM_NGramExtrapolate);
+
+/** An iar request frame over lusearch at 1/256 scale (~290 KB). */
+ServiceRequest
+lusearchRequest()
+{
+    ServiceRequest req;
+    req.id = 1;
+    req.policy = "iar";
+    req.workload = makeDacapoWorkload("lusearch", 256);
+    return req;
+}
+
+void
+BM_ParseRequest(benchmark::State &state)
+{
+    const std::string frame = requestText(lusearchRequest());
+    for (auto _ : state) {
+        auto req = tryReadRequest(frame);
+        benchmark::DoNotOptimize(req);
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_ParseRequest)->Unit(benchmark::kMicrosecond);
+
+void
+BM_WriteWorkload(benchmark::State &state)
+{
+    const Workload w = lusearchRequest().workload;
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        std::string text;
+        appendWorkloadText(text, w);
+        bytes = text.size();
+        benchmark::DoNotOptimize(text.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * bytes));
+}
+BENCHMARK(BM_WriteWorkload)->Unit(benchmark::kMicrosecond);
 
 } // anonymous namespace
 } // namespace jitsched

@@ -56,10 +56,10 @@ BackendConn::readFrame()
     // exactly — what lets the router relay responses verbatim.
     std::string frame;
     while (true) {
-        std::optional<std::string> line = reader_->readLine();
+        const auto line = reader_->readLine();
         if (!line.has_value())
             return std::nullopt;
-        frame += *line;
+        frame.append(*line);
         frame += '\n';
         if (isFrameEnd(*line))
             return frame;

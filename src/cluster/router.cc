@@ -203,16 +203,17 @@ Router::handleConnection(int fd)
     // malformed frame body must not desynchronize the connection,
     // and an unbounded frame must not pin the handler.
     LineReader reader(fd, cfg_.maxFrameBytes);
+    std::string frame; // one buffer per connection: frames reuse it
     for (;;) {
-        std::string frame;
+        frame.clear();
         bool got_end = false;
         bool oversized = false;
-        while (auto line = reader.readLine()) {
+        while (const auto line = reader.readLine()) {
             if (frame.size() + line->size() + 1 > cfg_.maxFrameBytes) {
                 oversized = true;
                 break;
             }
-            frame += *line;
+            frame.append(*line);
             frame += '\n';
             if (isFrameEnd(*line)) {
                 got_end = true;
@@ -253,7 +254,8 @@ Router::handleConnection(int fd)
             return;
 
         // PING asks about the *router's* liveness; answered locally.
-        if (isPingRequestFrame(frame)) {
+        const std::string_view tag = frameTag(frame);
+        if (tag == "jitsched-ping") {
             std::istringstream pis(frame);
             std::string ping_error;
             PongResponse pong;
@@ -276,7 +278,7 @@ Router::handleConnection(int fd)
         }
 
         // STATS scrapes the router's own registry (cluster.* keys).
-        if (isStatsRequestFrame(frame)) {
+        if (tag == "jitsched-stats") {
             std::istringstream sis(frame);
             std::string stats_error;
             StatsResponse sresp;
@@ -308,7 +310,7 @@ Router::handleConnection(int fd)
         // DUMP scrapes the router's own flight recorder, inline like
         // STATS: when no backend answers, the router's record of the
         // last N routed requests is the evidence.
-        if (isDumpRequestFrame(frame)) {
+        if (tag == "jitsched-dump") {
             std::istringstream dis(frame);
             std::string dump_error;
             DumpResponse dresp;
@@ -329,9 +331,8 @@ Router::handleConnection(int fd)
             continue;
         }
 
-        std::istringstream is(frame);
         std::string parse_error;
-        const auto req = tryReadRequest(is, &parse_error);
+        const auto req = tryReadRequest(frame, &parse_error);
 
         std::string resp_text;
         if (!req) {

@@ -346,7 +346,8 @@ class RawConn
             const auto line = reader_->readLine();
             if (!line.has_value())
                 return std::nullopt;
-            frame += *line + "\n";
+            frame.append(*line);
+            frame += '\n';
             if (isFrameEnd(*line))
                 return frame;
         }

@@ -68,7 +68,7 @@ ServiceClient::callRaw(const std::string &frame, std::string *error)
     // flight yet.
     LineReader reader(fd_);
     std::string out;
-    while (auto line = reader.readLine()) {
+    while (const auto line = reader.readLine()) {
         out += *line;
         out += '\n';
         if (isFrameEnd(*line)) {

@@ -11,23 +11,12 @@
 #include "obs/span.hh"
 #include "support/logging.hh"
 #include "support/strutil.hh"
+#include "support/text_cursor.hh"
 #include "trace/trace_io.hh"
 
 namespace jitsched {
 
 namespace {
-
-/** Strip comments and surrounding whitespace from one line. */
-std::string
-cleanLine(const std::string &line)
-{
-    const std::size_t hash = line.find('#');
-    const std::string_view body =
-        hash == std::string::npos
-            ? std::string_view(line)
-            : std::string_view(line).substr(0, hash);
-    return std::string(trim(body));
-}
 
 /** Next non-empty cleaned line, or nullopt at EOF. */
 std::optional<std::string>
@@ -35,9 +24,9 @@ nextLine(std::istream &is)
 {
     std::string raw;
     while (std::getline(is, raw)) {
-        std::string line = cleanLine(raw);
+        const std::string_view line = cleanLine(raw);
         if (!line.empty())
-            return line;
+            return std::string(line);
     }
     return std::nullopt;
 }
@@ -66,14 +55,17 @@ hashCombine(std::uint64_t seed, std::uint64_t v)
     return mix64(seed ^ mix64(v));
 }
 
-/** Serialize a double so that it round-trips through parseDouble. */
+/**
+ * Append a double so that it round-trips through parseDouble: the
+ * max_digits10 ostream form, which is not to_chars' shortest form.
+ */
 void
-writeDouble(std::ostream &os, double v)
+appendDouble(std::string &out, double v)
 {
     std::ostringstream tmp;
     tmp.precision(std::numeric_limits<double>::max_digits10);
     tmp << v;
-    os << tmp.str();
+    out += tmp.str();
 }
 
 } // anonymous namespace
@@ -81,53 +73,66 @@ writeDouble(std::ostream &os, double v)
 bool
 isFrameEnd(std::string_view raw_line)
 {
-    const std::size_t hash = raw_line.find('#');
-    if (hash != std::string_view::npos)
-        raw_line = raw_line.substr(0, hash);
-    return trim(raw_line) == "end";
+    return cleanLine(raw_line) == "end";
 }
 
 void
-writeRequest(std::ostream &os, const ServiceRequest &req)
+appendPolicyAndOptions(std::string &out, const ServiceRequest &req)
 {
-    os << "jitsched-request " << req.id << "\n";
-    os << "policy " << req.policy << "\n";
+    out += "policy ";
+    out += req.policy;
     const ServiceOptions &o = req.options;
-    os << "option compile-cores " << o.compileCores << "\n";
-    os << "option model "
-       << (o.model == ModelKind::Oracle ? "oracle" : "default")
-       << "\n";
+    out += "\noption compile-cores ";
+    appendInt(out, o.compileCores);
+    out += o.model == ModelKind::Oracle ? "\noption model oracle\n"
+                                        : "\noption model default\n";
     if (o.jitterSigma != 0.0) {
-        os << "option jitter-sigma ";
-        writeDouble(os, o.jitterSigma);
-        os << "\n";
-        os << "option jitter-seed " << o.jitterSeed << "\n";
+        out += "option jitter-sigma ";
+        appendDouble(out, o.jitterSigma);
+        out += "\noption jitter-seed ";
+        appendInt(out, o.jitterSeed);
+        out += '\n';
     }
-    os << "option astar-max-expansions " << o.astarMaxExpansions
-       << "\n";
-    os << "option astar-memory-mb " << o.astarMemoryMb << "\n";
+    out += "option astar-max-expansions ";
+    appendInt(out, o.astarMaxExpansions);
+    out += "\noption astar-memory-mb ";
+    appendInt(out, o.astarMemoryMb);
+    out += '\n';
     // Serialized only when set: requests that never mention threads
-    // stay byte-identical to what pre-astar-par builds emitted.
-    if (o.astarThreads != 0)
-        os << "option threads " << o.astarThreads << "\n";
-    if (o.deadlineMs >= 0)
-        os << "option deadline-ms " << o.deadlineMs << "\n";
-    // Like threads: untraced requests stay byte-identical to what
-    // pre-tracing builds emitted.
-    if (req.traceId != 0)
-        os << "option trace-id " << obs::traceIdHex(req.traceId)
-           << "\n";
-    os << "payload\n";
-    writeWorkload(os, req.workload);
-    os << "end\n";
+    // stay byte-identical to what pre-astar-par builds emitted.  Part
+    // of the cache key when set: the parallel search promises cost
+    // determinism across worker counts, not schedule identity.
+    if (o.astarThreads != 0) {
+        out += "option threads ";
+        appendInt(out, o.astarThreads);
+        out += '\n';
+    }
 }
 
 std::string
 requestText(const ServiceRequest &req)
 {
-    std::ostringstream os;
-    writeRequest(os, req);
-    return os.str();
+    std::string out;
+    out += "jitsched-request ";
+    appendInt(out, req.id);
+    out += '\n';
+    appendPolicyAndOptions(out, req);
+    if (req.options.deadlineMs >= 0) {
+        out += "option deadline-ms ";
+        appendInt(out, req.options.deadlineMs);
+        out += '\n';
+    }
+    // Like threads: untraced requests stay byte-identical to what
+    // pre-tracing builds emitted.
+    if (req.traceId != 0) {
+        out += "option trace-id ";
+        out += obs::traceIdHex(req.traceId);
+        out += '\n';
+    }
+    out += "payload\n";
+    appendWorkloadText(out, req.workload);
+    out += "end\n";
+    return out;
 }
 
 namespace {
@@ -224,27 +229,29 @@ applyOption(ServiceRequest &req, const std::string &key,
 } // anonymous namespace
 
 std::optional<ServiceRequest>
-tryReadRequest(std::istream &is, std::string *error)
+tryReadRequest(std::string_view frame, std::string *error)
 {
     ServiceRequest req;
+    LineCursor lines(frame);
 
-    const auto header = nextLine(is);
+    const auto header = lines.next();
     if (!header) {
         parseFail(error, "empty request frame");
         return std::nullopt;
     }
     {
-        std::istringstream hs(*header);
-        std::string tag, id_tok;
-        hs >> tag >> id_tok;
+        Tokens hs(*header);
+        const std::string_view tag = hs.next();
+        const std::string_view id_tok = hs.next();
         if (tag != "jitsched-request") {
             parseFail(error, "expected 'jitsched-request <id>', got '" +
-                      *header + "'");
+                      std::string(*header) + "'");
             return std::nullopt;
         }
-        const auto id = parseInt(id_tok);
+        const auto id = parseIntToken(id_tok);
         if (!id || *id < 0) {
-            parseFail(error, "bad request id '" + id_tok + "'");
+            parseFail(error, "bad request id '" + std::string(id_tok) +
+                      "'");
             return std::nullopt;
         }
         req.id = static_cast<std::uint64_t>(*id);
@@ -252,7 +259,7 @@ tryReadRequest(std::istream &is, std::string *error)
 
     // Preamble: policy and options, up to the payload marker.
     for (;;) {
-        const auto line = nextLine(is);
+        const auto line = lines.next();
         if (!line) {
             parseFail(error, "request truncated before payload");
             return std::nullopt;
@@ -263,27 +270,29 @@ tryReadRequest(std::istream &is, std::string *error)
             parseFail(error, "request has no payload");
             return std::nullopt;
         }
-        std::istringstream ls(*line);
-        std::string key;
-        ls >> key;
+        Tokens ls(*line);
+        const std::string_view key = ls.next();
         if (key == "policy") {
-            ls >> req.policy;
+            // A bare `policy` line keeps the previous policy.
+            if (const std::string_view name = ls.next(); !name.empty())
+                req.policy = name;
             if (req.policy.empty()) {
                 parseFail(error, "policy line names no policy");
                 return std::nullopt;
             }
         } else if (key == "option") {
-            std::string opt_key, opt_value;
-            ls >> opt_key >> opt_value;
+            const std::string_view opt_key = ls.next();
+            const std::string_view opt_value = ls.next();
             if (opt_key.empty() || opt_value.empty()) {
                 parseFail(error,
                           "option line needs a key and a value");
                 return std::nullopt;
             }
-            if (!applyOption(req, opt_key, opt_value, error))
+            if (!applyOption(req, std::string(opt_key),
+                             std::string(opt_value), error))
                 return std::nullopt;
         } else {
-            parseFail(error, "unknown directive '" + key +
+            parseFail(error, "unknown directive '" + std::string(key) +
                       "' before payload");
             return std::nullopt;
         }
@@ -295,7 +304,7 @@ tryReadRequest(std::istream &is, std::string *error)
     }
 
     std::string wl_error;
-    auto w = tryReadWorkload(is, &wl_error, "end");
+    auto w = tryReadWorkload(lines.rest(), &wl_error, "end");
     if (!w) {
         if (error != nullptr)
             *error = wl_error;
@@ -303,6 +312,12 @@ tryReadRequest(std::istream &is, std::string *error)
     }
     req.workload = *std::move(w);
     return req;
+}
+
+std::optional<ServiceRequest>
+tryReadRequest(std::istream &is, std::string *error)
+{
+    return tryReadRequest(readThroughLine(is, "end"), error);
 }
 
 void
@@ -1385,46 +1400,12 @@ makePongResponse(std::uint64_t id)
     return resp;
 }
 
-namespace {
-
-/** First whitespace token of a frame's first meaningful line. */
-std::string
-frameTag(const std::string &frame)
+std::string_view
+frameTag(std::string_view frame)
 {
-    std::istringstream is(frame);
-    const auto first = nextLine(is);
-    if (!first)
-        return {};
-    std::istringstream hs(*first);
-    std::string tag;
-    hs >> tag;
-    return tag;
-}
-
-} // anonymous namespace
-
-bool
-isStatsRequestFrame(const std::string &frame)
-{
-    return frameTag(frame) == "jitsched-stats";
-}
-
-bool
-isPingRequestFrame(const std::string &frame)
-{
-    return frameTag(frame) == "jitsched-ping";
-}
-
-bool
-isDumpRequestFrame(const std::string &frame)
-{
-    return frameTag(frame) == "jitsched-dump";
-}
-
-bool
-isSnapshotRequestFrame(const std::string &frame)
-{
-    return frameTag(frame) == "jitsched-snapshot";
+    LineCursor lines(frame);
+    const auto first = lines.next();
+    return first ? Tokens(*first).next() : std::string_view();
 }
 
 std::uint64_t

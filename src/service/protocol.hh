@@ -271,16 +271,32 @@ struct StatsResponse
     std::vector<std::string> lines;
 };
 
-/** Serialize a request frame. */
-void writeRequest(std::ostream &os, const ServiceRequest &req);
-
 /** Request frame as a string (what the client sends). */
 std::string requestText(const ServiceRequest &req);
 
 /**
- * Parse one request frame, consuming through its `end` line.
+ * Append the `policy` line and the `option` lines that decide the
+ * answer — every option but deadline-ms and trace-id — in
+ * requestText()'s order.  Shared with the result cache's key
+ * (ResultCache::keyMaterial), so the two cannot drift apart.
+ */
+void appendPolicyAndOptions(std::string &out, const ServiceRequest &req);
+
+/**
+ * Parse one request frame held in memory, in a single pass over its
+ * bytes; parsing ends at the frame's `end` line and ignores anything
+ * after it.  This is what the server and router call on the frame
+ * they have already read.
  * @param error receives a description of the first problem
  * @return the request, or nullopt on malformed input
+ */
+std::optional<ServiceRequest>
+tryReadRequest(std::string_view frame, std::string *error = nullptr);
+
+/**
+ * Stream form of the above: reads through the frame's `end` line,
+ * leaving the rest of the stream unread, then parses those lines.
+ * Same accept set and error strings.
  */
 std::optional<ServiceRequest>
 tryReadRequest(std::istream &is, std::string *error = nullptr);
@@ -485,20 +501,11 @@ tryReadPongResponse(std::istream &is, std::string *error = nullptr);
 PongResponse makePongResponse(std::uint64_t id);
 
 /**
- * True when the frame's first meaningful line is a `jitsched-stats`
- * header — how the connection handler routes a frame to the scrape
- * path without attempting a full request parse.
+ * First token of the frame's first meaningful line (empty when there
+ * is none), as a view into @p frame — how the connection handlers
+ * route a frame to its verb without attempting a full parse.
  */
-bool isStatsRequestFrame(const std::string &frame);
-
-/** Same routing test for `jitsched-ping` frames. */
-bool isPingRequestFrame(const std::string &frame);
-
-/** Same routing test for `jitsched-dump` frames. */
-bool isDumpRequestFrame(const std::string &frame);
-
-/** Same routing test for `jitsched-snapshot` frames. */
-bool isSnapshotRequestFrame(const std::string &frame);
+std::string_view frameTag(std::string_view frame);
 
 /**
  * True when @p raw_line (after comment/whitespace stripping) is the

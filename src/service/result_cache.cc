@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "obs/instruments.hh"
@@ -46,16 +45,6 @@ chainBytes(std::uint64_t state, const std::string &bytes)
     if (filled != 0)
         state = mix64(state ^ mix64(word));
     return state;
-}
-
-/** Serialize a double exactly like protocol.cc's writeDouble. */
-void
-writeDouble(std::ostream &os, double v)
-{
-    std::ostringstream tmp;
-    tmp.precision(std::numeric_limits<double>::max_digits10);
-    tmp << v;
-    os << tmp.str();
 }
 
 bool
@@ -117,35 +106,16 @@ ResultCache::maxEntryBytes() const
 std::string
 ResultCache::keyMaterial(const ServiceRequest &req)
 {
-    // Mirrors writeRequest()'s normalized option order with the
-    // non-semantic fields dropped: no id, no deadline-ms, no
-    // trace-id.  jitter-seed follows the writer's rule — omitted
-    // when sigma is 0, where the simulator never reads it — so
-    // requests differing only in a dormant seed share one entry.
-    std::ostringstream os;
-    os << "policy " << req.policy << "\n";
-    const ServiceOptions &o = req.options;
-    os << "option compile-cores " << o.compileCores << "\n";
-    os << "option model "
-       << (o.model == ModelKind::Oracle ? "oracle" : "default")
-       << "\n";
-    if (o.jitterSigma != 0.0) {
-        os << "option jitter-sigma ";
-        writeDouble(os, o.jitterSigma);
-        os << "\n";
-        os << "option jitter-seed " << o.jitterSeed << "\n";
-    }
-    os << "option astar-max-expansions " << o.astarMaxExpansions
-       << "\n";
-    os << "option astar-memory-mb " << o.astarMemoryMb << "\n";
-    // Kept in the key: the parallel search promises cost determinism
-    // across worker counts, not schedule identity, and the cache
-    // promises byte identity.
-    if (o.astarThreads != 0)
-        os << "option threads " << o.astarThreads << "\n";
-    os << "payload\n";
-    writeWorkload(os, req.workload);
-    return os.str();
+    // requestText() with the non-semantic fields dropped: no id, no
+    // deadline-ms, no trace-id.  jitter-seed follows the writer's
+    // rule — omitted when sigma is 0, where the simulator never reads
+    // it — so requests differing only in a dormant seed share one
+    // entry.
+    std::string key;
+    appendPolicyAndOptions(key, req);
+    key += "payload\n";
+    appendWorkloadText(key, req.workload);
+    return key;
 }
 
 std::uint64_t

@@ -156,19 +156,20 @@ void
 ServiceServer::handleConnection(int fd)
 {
     LineReader reader(fd, cfg_.maxFrameBytes);
+    std::string frame; // one buffer per connection: frames reuse it
     for (;;) {
         // Accumulate one frame: every line up to and including
         // `end`.  Framing lives here, not in the parser, so a
         // malformed frame body cannot desynchronize the connection.
-        std::string frame;
+        frame.clear();
         bool got_end = false;
         bool oversized = false;
-        while (auto line = reader.readLine()) {
+        while (const auto line = reader.readLine()) {
             if (frame.size() + line->size() + 1 > cfg_.maxFrameBytes) {
                 oversized = true;
                 break;
             }
-            frame += *line;
+            frame.append(*line);
             frame += '\n';
             if (isFrameEnd(*line)) {
                 got_end = true;
@@ -224,7 +225,8 @@ ServiceServer::handleConnection(int fd)
         // admission queue is shedding load — a loaded backend is
         // still a live backend, and the cluster router must not
         // eject it for being busy.
-        if (isPingRequestFrame(frame)) {
+        const std::string_view tag = frameTag(frame);
+        if (tag == "jitsched-ping") {
             std::istringstream pis(frame);
             std::string ping_error;
             PongResponse pong;
@@ -253,7 +255,7 @@ ServiceServer::handleConnection(int fd)
         // bypassing the admission queue: a scrape must keep working
         // while the queue is shedding load — that is when operators
         // look at it.
-        if (isStatsRequestFrame(frame)) {
+        if (tag == "jitsched-stats") {
             std::istringstream sis(frame);
             std::string stats_error;
             StatsResponse sresp;
@@ -288,7 +290,7 @@ ServiceServer::handleConnection(int fd)
         // DUMP frames scrape the in-memory flight recorder, inline
         // like STATS: the recorder exists for exactly the moments
         // when the admission queue is the problem.
-        if (isDumpRequestFrame(frame)) {
+        if (tag == "jitsched-dump") {
             std::istringstream dis(frame);
             std::string dump_error;
             DumpResponse dresp;
@@ -315,7 +317,7 @@ ServiceServer::handleConnection(int fd)
         // SNAPSHOT frames save the result cache to its configured
         // file, inline like STATS/DUMP — a warm-state save must work
         // while the admission queue is shedding.
-        if (isSnapshotRequestFrame(frame)) {
+        if (tag == "jitsched-snapshot") {
             std::istringstream ss(frame);
             std::string snap_parse_error;
             SnapshotResponse snap;
@@ -360,9 +362,8 @@ ServiceServer::handleConnection(int fd)
             continue;
         }
 
-        std::istringstream is(frame);
         std::string parse_error;
-        auto req = tryReadRequest(is, &parse_error);
+        auto req = tryReadRequest(frame, &parse_error);
 
         ServiceResponse resp;
         std::string policy;

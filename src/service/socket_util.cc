@@ -232,27 +232,22 @@ closeFd(int fd)
         ::close(fd);
 }
 
-std::optional<std::string>
+std::optional<std::string_view>
 LineReader::readLine()
 {
     for (;;) {
         const std::size_t nl = buffer_.find('\n', pos_);
         if (nl != std::string::npos) {
-            std::string line = buffer_.substr(pos_, nl - pos_);
+            std::string_view line(buffer_.data() + pos_, nl - pos_);
             pos_ = nl + 1;
-            // Compact the consumed prefix occasionally so a
-            // long-lived connection does not grow the buffer forever.
-            if (pos_ > 64 * 1024) {
-                buffer_.erase(0, pos_);
-                pos_ = 0;
-            }
             if (!line.empty() && line.back() == '\r')
-                line.pop_back();
+                line.remove_suffix(1);
             return line;
         }
         if (eof_) {
             if (pos_ < buffer_.size()) {
-                std::string line = buffer_.substr(pos_);
+                const std::string_view line =
+                    std::string_view(buffer_).substr(pos_);
                 pos_ = buffer_.size();
                 return line;
             }
@@ -263,7 +258,12 @@ LineReader::readLine()
             return std::nullopt;
         }
 
-        char chunk[4096];
+        // Drop the consumed lines before reading more: only the
+        // partial line at the end moves, and no view handed out
+        // earlier is still live (each is valid until the next call).
+        buffer_.erase(0, pos_);
+        pos_ = 0;
+        char chunk[kReadChunk];
         ssize_t n;
         do {
             n = ::read(fd_, chunk, sizeof(chunk));

@@ -70,7 +70,9 @@ void closeFd(int fd);
 /**
  * Buffered reader returning one '\n'-terminated line at a time
  * (terminator stripped, trailing '\r' tolerated).  A final unterminated
- * line before EOF is returned as-is.
+ * line before EOF is returned as-is.  Lines are views into the
+ * reader's buffer, valid until the next readLine(); the socket is read
+ * 64 KiB at a time.
  *
  * Lines are capped at @p max_line_bytes: a peer streaming bytes
  * without ever sending a newline would otherwise grow the buffer
@@ -88,8 +90,11 @@ class LineReader
     {
     }
 
-    /** Next line, or nullopt at EOF / read error / oversized line. */
-    std::optional<std::string> readLine();
+    /**
+     * Next line, or nullopt at EOF / read error / oversized line.
+     * The view is invalidated by the next call.
+     */
+    std::optional<std::string_view> readLine();
 
     /** True once a line exceeded the construction-time cap. */
     bool overflowed() const { return overflowed_; }
@@ -102,6 +107,8 @@ class LineReader
     bool timedOut() const { return timed_out_; }
 
   private:
+    static constexpr std::size_t kReadChunk = std::size_t(64) << 10;
+
     int fd_;
     std::size_t max_line_;
     std::string buffer_;

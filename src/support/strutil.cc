@@ -1,6 +1,5 @@
 #include "support/strutil.hh"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdarg>
 #include <cstdio>
@@ -28,9 +27,9 @@ trim(std::string_view s)
 {
     std::size_t b = 0;
     std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
+    while (b < e && isSpaceChar(s[b]))
         ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
+    while (e > b && isSpaceChar(s[e - 1]))
         --e;
     return s.substr(b, e - b);
 }
@@ -38,16 +37,7 @@ trim(std::string_view s)
 std::optional<std::int64_t>
 parseInt(std::string_view s)
 {
-    s = trim(s);
-    if (s.empty())
-        return std::nullopt;
-    std::string buf(s);
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(buf.c_str(), &end, 10);
-    if (errno != 0 || end != buf.c_str() + buf.size())
-        return std::nullopt;
-    return static_cast<std::int64_t>(v);
+    return parseIntToken(trim(s));
 }
 
 std::optional<double>

@@ -4,34 +4,60 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "support/logging.hh"
 #include "support/strutil.hh"
+#include "support/text_cursor.hh"
 
 namespace jitsched {
 
 void
-writeWorkload(std::ostream &os, const Workload &w)
+appendWorkloadText(std::string &out, const Workload &w)
 {
-    os << "# jitsched workload trace\n";
-    os << "workload " << w.name() << "\n";
-    os << "levels " << w.maxLevels() << "\n";
+    const auto &calls = w.calls();
+    // The calls block is the bulk of a trace; most ids are short.
+    out.reserve(out.size() + calls.size() * 4);
+
+    out += "# jitsched workload trace\n";
+    out += "workload ";
+    out += w.name();
+    out += "\nlevels ";
+    appendInt(out, w.maxLevels());
+    out += '\n';
     for (std::size_t i = 0; i < w.numFunctions(); ++i) {
         const auto &prof = w.function(static_cast<FuncId>(i));
-        os << "func " << i << ' ' << prof.name() << ' ' << prof.size();
+        out += "func ";
+        appendInt(out, i);
+        out += ' ';
+        out += prof.name();
+        out += ' ';
+        appendInt(out, prof.size());
         for (std::size_t j = 0; j < prof.numLevels(); ++j) {
             const auto &lc = prof.level(static_cast<Level>(j));
-            os << ' ' << lc.compile << ' ' << lc.exec;
+            out += ' ';
+            appendInt(out, lc.compile);
+            out += ' ';
+            appendInt(out, lc.exec);
         }
-        os << "\n";
+        out += '\n';
     }
-    os << "calls " << w.numCalls() << "\n";
-    const auto &calls = w.calls();
+    out += "calls ";
+    appendInt(out, w.numCalls());
+    out += '\n';
+
+    // Sixteen ids a line.
     for (std::size_t i = 0; i < calls.size(); ++i) {
-        os << calls[i];
-        os << ((i % 16 == 15 || i + 1 == calls.size()) ? '\n' : ' ');
+        appendInt(out, calls[i]);
+        out += (i % 16 == 15 || i + 1 == calls.size()) ? '\n' : ' ';
     }
+}
+
+void
+writeWorkload(std::ostream &os, const Workload &w)
+{
+    std::string text;
+    appendWorkloadText(text, w);
+    os << text;
 }
 
 void
@@ -47,18 +73,6 @@ writeWorkloadFile(const std::string &path, const Workload &w)
 
 namespace {
 
-/** Strip comments and surrounding whitespace from one line. */
-std::string
-cleanLine(const std::string &line)
-{
-    const std::size_t hash = line.find('#');
-    const std::string_view body =
-        hash == std::string::npos
-            ? std::string_view(line)
-            : std::string_view(line).substr(0, hash);
-    return std::string(trim(body));
-}
-
 /**
  * Parse an integer token; on failure stores a message in *error and
  * returns nullopt.  Every parse failure below funnels through here or
@@ -68,10 +82,10 @@ cleanLine(const std::string &line)
 std::optional<std::int64_t>
 tryInt(std::string_view tok, const char *what, std::string *error)
 {
-    const auto v = parseInt(tok);
+    const auto v = parseIntToken(tok);
     if (!v) {
         *error = detail::concat("trace parse error: bad ", what, " '",
-                                std::string(tok), "'");
+                                tok, "'");
         return std::nullopt;
     }
     return v;
@@ -87,6 +101,36 @@ fail(std::string *error, const Args &...args)
 }
 
 /**
+ * Append the call ids on one line of the `calls` block — the bulk of
+ * every trace, so a tight loop rather than a Tokens walk.  Ids are
+ * stored as FuncId without a range check; the caller checks the range
+ * once the function table is final.
+ */
+bool
+readCallsLine(std::string_view line, std::vector<FuncId> &calls,
+              std::string *error)
+{
+    const char *p = line.data();
+    const char *const end = p + line.size();
+    while (p != end) {
+        if (isSpaceChar(*p)) {
+            ++p;
+            continue;
+        }
+        const char *const tok = p;
+        while (p != end && !isSpaceChar(*p))
+            ++p;
+        const auto id = tryInt(
+            std::string_view(tok, static_cast<std::size_t>(p - tok)),
+            "call function id", error);
+        if (!id)
+            return false;
+        calls.push_back(static_cast<FuncId>(*id));
+    }
+    return true;
+}
+
+/**
  * Ceiling on a reserve() driven by a declared count.  Counts are
  * foreign input on the non-fatal path: an absurd header must not be
  * able to throw length_error/bad_alloc out of the parser (which would
@@ -98,8 +142,8 @@ constexpr std::size_t kMaxDeclaredReserve = std::size_t(1) << 20;
 } // anonymous namespace
 
 std::optional<Workload>
-tryReadWorkload(std::istream &is, std::string *error,
-                const std::string &stop_line)
+tryReadWorkload(std::string_view text, std::string *error,
+                std::string_view stop_line)
 {
     std::string local_error;
     std::string &err = error != nullptr ? *error : local_error;
@@ -111,44 +155,37 @@ tryReadWorkload(std::istream &is, std::string *error,
     std::size_t expected_calls = 0;
     bool in_calls = false;
 
-    std::string raw;
-    while (std::getline(is, raw)) {
-        const std::string line = cleanLine(raw);
-        if (line.empty())
-            continue;
+    LineCursor lines(text);
+    while (const auto next = lines.next()) {
+        const std::string_view line = *next;
         if (!stop_line.empty() && line == stop_line)
             break;
 
-        std::istringstream ls(line);
         if (in_calls) {
-            std::string tok;
-            while (ls >> tok) {
-                const auto id = tryInt(tok, "call function id", &err);
-                if (!id)
-                    return std::nullopt;
-                calls.push_back(static_cast<FuncId>(*id));
-            }
+            if (!readCallsLine(line, calls, &err))
+                return std::nullopt;
             if (calls.size() >= expected_calls)
                 in_calls = false;
             continue;
         }
 
-        std::string key;
-        ls >> key;
+        Tokens ls(line);
+        const std::string_view key = ls.next();
         if (key == "workload") {
-            ls >> name;
+            // A bare `workload` line keeps the previous name.
+            if (const std::string_view tok = ls.next(); !tok.empty())
+                name = tok;
         } else if (key == "levels") {
-            std::string tok;
-            ls >> tok;
-            const auto v = tryInt(tok, "level count", &err);
+            const auto v = tryInt(ls.next(), "level count", &err);
             if (!v)
                 return std::nullopt;
             if (*v < 0)
                 return fail(&err, "negative level count ", *v);
             levels = static_cast<std::size_t>(*v);
         } else if (key == "func") {
-            std::string id_tok, fname, size_tok;
-            ls >> id_tok >> fname >> size_tok;
+            const std::string_view id_tok = ls.next();
+            const std::string_view fname = ls.next();
+            const std::string_view size_tok = ls.next();
             const auto id = tryInt(id_tok, "function id", &err);
             if (!id)
                 return std::nullopt;
@@ -163,8 +200,13 @@ tryReadWorkload(std::istream &is, std::string *error,
                 return fail(&err, "negative size for function '",
                             fname, "'");
             std::vector<LevelCosts> lcs;
-            std::string c_tok, e_tok;
-            while (ls >> c_tok >> e_tok) {
+            for (;;) {
+                // Costs come in pairs; an odd trailing token is
+                // dropped unparsed.
+                const std::string_view c_tok = ls.next();
+                const std::string_view e_tok = ls.next();
+                if (e_tok.empty())
+                    break;
                 const auto c = tryInt(c_tok, "compile time", &err);
                 if (!c)
                     return std::nullopt;
@@ -182,13 +224,11 @@ tryReadWorkload(std::istream &is, std::string *error,
             if (!FunctionProfile::levelsMonotonic(lcs))
                 return fail(&err, "function '", fname,
                             "' violates level monotonicity");
-            funcs.emplace_back(fname,
+            funcs.emplace_back(std::string(fname),
                                static_cast<std::uint32_t>(*size),
                                std::move(lcs));
         } else if (key == "calls") {
-            std::string tok;
-            ls >> tok;
-            const auto v = tryInt(tok, "call count", &err);
+            const auto v = tryInt(ls.next(), "call count", &err);
             if (!v)
                 return std::nullopt;
             if (*v < 0)
@@ -214,6 +254,14 @@ tryReadWorkload(std::istream &is, std::string *error,
                         " references unknown function ", calls[i]);
     }
     return Workload(name, std::move(funcs), std::move(calls));
+}
+
+std::optional<Workload>
+tryReadWorkload(std::istream &is, std::string *error,
+                const std::string &stop_line)
+{
+    return tryReadWorkload(readThroughLine(is, stop_line), error,
+                           stop_line);
 }
 
 Workload

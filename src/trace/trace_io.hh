@@ -25,10 +25,14 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "trace/workload.hh"
 
 namespace jitsched {
+
+/** Append a workload in the text format above to @p out. */
+void appendWorkloadText(std::string &out, const Workload &w);
 
 /** Serialize a workload to a stream in the text format above. */
 void writeWorkload(std::ostream &os, const Workload &w);
@@ -37,23 +41,31 @@ void writeWorkload(std::ostream &os, const Workload &w);
 void writeWorkloadFile(const std::string &path, const Workload &w);
 
 /**
- * Parse a workload from a stream without killing the process.
+ * Parse a workload from text in memory without killing the process.
  *
  * This is the parse path for inputs that arrive from *other
  * programs* — above all the scheduling service, where a malformed
  * client request must produce an error response, not take the daemon
  * down.  Also catches errors readWorkload() would previously have
  * escalated to panic(), such as call ids that point past the function
- * table.
+ * table.  One pass over the bytes, nothing copied but the names.
  *
  * @param error receives a description of the first problem found
  *              (unchanged on success); may be null
- * @param stop_line when non-empty, parsing consumes lines up to and
- *              including the first line that (after comment/space
- *              stripping) equals this terminator, instead of reading
- *              to EOF — how the wire protocol embeds a workload in a
- *              larger stream
+ * @param stop_line when non-empty, parsing ends at the first line
+ *              that (after comment/space stripping) equals this
+ *              terminator, instead of at the end of @p text — how the
+ *              wire protocol embeds a workload in a larger frame
  * @return the workload, or nullopt on malformed input
+ */
+std::optional<Workload>
+tryReadWorkload(std::string_view text, std::string *error = nullptr,
+                std::string_view stop_line = {});
+
+/**
+ * Stream form of the above: reads lines up to and including the stop
+ * line (or to EOF), leaving the rest of the stream unread, then
+ * parses them.  Same accept set and error strings.
  */
 std::optional<Workload>
 tryReadWorkload(std::istream &is, std::string *error = nullptr,

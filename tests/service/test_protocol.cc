@@ -250,8 +250,8 @@ TEST(ServiceProtocol, StatsRequestRoundTrip)
     req.id = 99;
     const std::string text = statsRequestText(req);
     EXPECT_EQ(text, "jitsched-stats 99\nend\n");
-    EXPECT_TRUE(isStatsRequestFrame(text));
-    EXPECT_FALSE(isStatsRequestFrame("jitsched-request 99\nend\n"));
+    EXPECT_EQ(frameTag(text), "jitsched-stats");
+    EXPECT_EQ(frameTag("jitsched-request 99\nend\n"), "jitsched-request");
 
     std::istringstream is(text);
     std::string error;
@@ -361,15 +361,24 @@ TEST(ServiceProtocol, PingRequestRoundTrip)
     PingRequest req;
     req.id = 77;
     const std::string text = pingRequestText(req);
-    EXPECT_TRUE(isPingRequestFrame(text));
-    EXPECT_FALSE(isPingRequestFrame("jitsched-request 77\nend\n"));
-    EXPECT_FALSE(isStatsRequestFrame(text));
+    EXPECT_EQ(frameTag(text), "jitsched-ping");
+    EXPECT_EQ(frameTag("jitsched-request 77\nend\n"), "jitsched-request");
 
     std::istringstream is(text);
     std::string error;
     const auto back = tryReadPingRequest(is, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_EQ(back->id, 77u);
+}
+
+TEST(ServiceProtocol, FrameTagIsTheFirstMeaningfulToken)
+{
+    EXPECT_EQ(frameTag("# probe\n\n  \t\r\n jitsched-dump 3 # x\nend\n"),
+              "jitsched-dump");
+    EXPECT_EQ(frameTag("jitsched-ping#glued\nend\n"), "jitsched-ping");
+    EXPECT_EQ(frameTag("\vjitsched-stats\f4 prom\n"), "jitsched-stats");
+    EXPECT_EQ(frameTag(""), "");
+    EXPECT_EQ(frameTag("# only a comment\n\n"), "");
 }
 
 TEST(ServiceProtocol, PingRequestRejectsABody)

@@ -193,8 +193,8 @@ TEST(ProtocolTrace, DumpRequestRoundTrips)
     DumpRequest req;
     req.id = 11;
     EXPECT_EQ(dumpRequestText(req), "jitsched-dump 11\nend\n");
-    EXPECT_TRUE(isDumpRequestFrame(dumpRequestText(req)));
-    EXPECT_FALSE(isDumpRequestFrame("jitsched-stats 11\nend\n"));
+    EXPECT_EQ(frameTag(dumpRequestText(req)), "jitsched-dump");
+    EXPECT_EQ(frameTag("jitsched-stats 11\nend\n"), "jitsched-stats");
 
     std::istringstream is(dumpRequestText(req));
     std::string error;
