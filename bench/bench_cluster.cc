@@ -7,9 +7,10 @@
  * Four questions, one table each, all landing in BENCH_cluster.json:
  *
  *   scaling    tail latency of a mixed stream for 1 / 2 / 4 shards
- *   affinity   cluster-wide EvalCache hit rate of fingerprint-affine
- *              routing vs round-robin on the same 2-backend stream —
- *              the number that justifies the consistent-hash ring
+ *   affinity   cluster-wide result-cache hit rate of
+ *              fingerprint-affine routing vs round-robin on the same
+ *              2-backend stream, backends caching — the number that
+ *              justifies the consistent-hash ring
  *   bounce     a backend killed and restarted mid-run: every request
  *              must still be answered (errors stays 0) while the
  *              router ejects, spills, and re-admits
@@ -73,6 +74,15 @@ clusterConfig(std::size_t backends, cluster::RoutingMode mode)
     return cfg;
 }
 
+/** clusterConfig() with a 64 MiB result cache on every backend. */
+cluster::ClusterHarnessConfig
+cachingConfig(std::size_t backends, cluster::RoutingMode mode)
+{
+    cluster::ClusterHarnessConfig cfg = clusterConfig(backends, mode);
+    cfg.backend.resultCacheBytes = std::size_t(64) << 20;
+    return cfg;
+}
+
 struct ScenarioResult
 {
     std::vector<double> latenciesMs;
@@ -84,13 +94,16 @@ struct ScenarioResult
     std::uint64_t readmissions = 0;
 };
 
+/** Store hits over probes, across every backend's result cache. */
 double
 clusterHitRate(cluster::ClusterHarness &cluster)
 {
     std::uint64_t hits = 0, misses = 0;
     for (std::size_t b = 0; b < cluster.backendCount(); ++b) {
-        hits += cluster.backendEngine(b).cache().hits();
-        misses += cluster.backendEngine(b).cache().misses();
+        const ResultCache::Counters rc =
+            cluster.backendServer(b).resultCache().counters();
+        hits += rc.hits;
+        misses += rc.misses;
     }
     return hits + misses > 0
                ? static_cast<double>(hits) /
@@ -345,11 +358,12 @@ main()
             JITSCHED_FATAL("scaling scenario served errors");
     }
 
-    // --- Affinity vs round-robin, identical 2-backend pair stream.
+    // --- Affinity vs round-robin, identical 2-backend pair stream,
+    // against caching backends: affinity pays off through them.
     double affinity_rate = 0.0, rr_rate = 0.0;
     {
         cluster::ClusterHarness cluster(
-            clusterConfig(2, cluster::RoutingMode::Affinity));
+            cachingConfig(2, cluster::RoutingMode::Affinity));
         std::string error;
         if (!cluster.start(&error))
             JITSCHED_FATAL("cluster start: ", error);
@@ -361,7 +375,7 @@ main()
     }
     {
         cluster::ClusterHarness cluster(
-            clusterConfig(2, cluster::RoutingMode::RoundRobin));
+            cachingConfig(2, cluster::RoutingMode::RoundRobin));
         std::string error;
         if (!cluster.start(&error))
             JITSCHED_FATAL("cluster start: ", error);
@@ -411,10 +425,8 @@ main()
     std::uint64_t rc_hits = 0, rc_misses = 0, rc_collapsed = 0,
                   rc_insertions = 0;
     {
-        cluster::ClusterHarnessConfig cfg =
-            clusterConfig(2, cluster::RoutingMode::Affinity);
-        cfg.backend.resultCacheBytes = std::size_t(64) << 20;
-        cluster::ClusterHarness cluster(cfg);
+        cluster::ClusterHarness cluster(
+            cachingConfig(2, cluster::RoutingMode::Affinity));
         std::string error;
         if (!cluster.start(&error))
             JITSCHED_FATAL("cluster start: ", error);

@@ -6,11 +6,10 @@
  *
  * Three scenarios bracket the service's operating range:
  *
- *   cold    every request is a distinct workload — each one pays a
- *           full solve (the cache can only miss)
- *   warm    every request repeats one already-served workload — the
- *           EvalCache answer path, which is what makes the service
- *           viable for a JIT that re-asks about recurring phases
+ *   cold    every request is a distinct workload
+ *   warm    every request repeats one already-served workload; this
+ *           server runs cache-off, the default, so a repeat is a
+ *           full solve too
  *   mixed   80% repeats / 20% fresh, the expected steady state
  *
  * A fourth phase measures the request-level result cache on a second
@@ -64,8 +63,7 @@ struct ScenarioResult
 
 /**
  * @param pick maps (client, request index) to a workload variant;
- *        equal variants are identical requests and can share cache
- *        entries
+ *        equal variants are identical requests
  */
 ScenarioResult
 runScenario(std::uint16_t port, const std::string &policy,
@@ -317,12 +315,9 @@ main()
               << " misses), hit-path p50 speedup " << rc_speedup
               << "x\n";
 
-    const std::uint64_t hits = engine.cache().hits();
-    const std::uint64_t misses = engine.cache().misses();
-    std::cout << "cache: " << hits << " hits / " << misses
-              << " misses  |  admission: "
-              << server.admission().processed() << " processed, "
-              << server.admission().shed() << " shed\n";
+    std::cout << "admission: " << server.admission().processed()
+              << " processed, " << server.admission().shed()
+              << " shed\n";
 
     // The machine-readable artifact next to the table.
     const char *json_path = "BENCH_service.json";
@@ -349,15 +344,6 @@ main()
         j.endObject();
     }
     j.endArray();
-    j.key("cache").beginObject();
-    j.member("hits", hits);
-    j.member("misses", misses);
-    j.member("hitRate",
-             hits + misses > 0
-                 ? static_cast<double>(hits) /
-                       static_cast<double>(hits + misses)
-                 : 0.0);
-    j.endObject();
     j.key("admission").beginObject();
     j.member("processed", server.admission().processed());
     j.member("shed", server.admission().shed());

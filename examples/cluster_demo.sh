@@ -7,7 +7,8 @@
 #   1. transparency — the same wire protocol in front: jitsched-cli
 #      talks to the router exactly as it would to a single daemon;
 #   2. cache affinity — a repeated request is routed to the backend
-#      that already solved it (watch the stats line's cache hits);
+#      that already solved it, whose result cache answers it (watch
+#      the stats line's `result-cache 1`);
 #   3. fault tolerance — kill a backend mid-demo and requests keep
 #      being answered by the survivor.
 #
@@ -66,10 +67,10 @@ scrape_port() { # logfile binary-name
     echo "$port"
 }
 
-"$jitschedd" --port 0 > "$workdir/a.log" &
+"$jitschedd" --port 0 --result-cache-mb 16 > "$workdir/a.log" &
 pids+=($!)
 backend_a_pid=$!
-"$jitschedd" --port 0 > "$workdir/b.log" &
+"$jitschedd" --port 0 --result-cache-mb 16 > "$workdir/b.log" &
 pids+=($!)
 port_a="$(scrape_port "$workdir/a.log" jitschedd)"
 port_b="$(scrape_port "$workdir/b.log" jitschedd)"
@@ -87,7 +88,7 @@ echo "== 1. a request through the router (same protocol as a daemon) =="
 echo
 
 echo "== 2. the identical request again: affinity routes it to the"
-echo "==    same backend, whose EvalCache now answers (stats line) =="
+echo "==    same backend, whose result cache now answers (stats line) =="
 "$cli" --port "$port_r" --policy iar --id 2 "$workdir/workload"
 echo
 

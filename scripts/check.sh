@@ -35,13 +35,14 @@
 #   scripts/check.sh --fuzz-smoke
 #                              # also run the differential fuzzer:
 #                              # ~20s of jitsched-fuzz solvers, ~10s
-#                              # of jitsched-fuzz protocol and ~10s of
-#                              # jitsched-fuzz result-cache, plus the
+#                              # each of jitsched-fuzz protocol,
+#                              # result-cache and cluster, plus the
 #                              # broken-oracle canaries (runs with the
 #                              # lower-bound / astar-par /
-#                              # result-cache oracles deliberately
-#                              # broken MUST fail — proves the harness
-#                              # can still detect a broken oracle)
+#                              # result-cache / cluster oracles
+#                              # deliberately broken MUST fail —
+#                              # proves the harness can still detect
+#                              # a broken oracle)
 #   scripts/check.sh --asan    # also build the tree with
 #                              # -fsanitize=address,undefined in
 #                              # build-asan/ and run the `qa` and
@@ -295,6 +296,10 @@ EOF
         cat "$cs_dir/stats.out" >&2
         exit 1
     fi
+    # Stop the survivor and the router now: a later smoke's EXIT trap
+    # replaces this one.
+    cleanup_cluster
+    cs_pids=()
     echo "cluster smoke: byte-identical routing, failover, STATS ok"
 fi
 
@@ -574,7 +579,7 @@ fi
 
 if [ "$run_fuzz_smoke" -eq 1 ]; then
     echo "== Fuzz smoke (solvers 20s + protocol 10s +" \
-         "result-cache 10s + canaries) =="
+         "result-cache 10s + cluster 10s + canaries) =="
     fuzz_corpus="$(mktemp -d)"
     trap 'rm -rf "$fuzz_corpus"' EXIT
     ./build/bin/jitsched-fuzz solvers --seconds 20 --seed 1 \
@@ -582,6 +587,10 @@ if [ "$run_fuzz_smoke" -eq 1 ]; then
     ./build/bin/jitsched-fuzz protocol --seconds 10 --seed 1 \
         --corpus-dir "$fuzz_corpus"
     ./build/bin/jitsched-fuzz result-cache --seconds 10 --seed 1 \
+        --corpus-dir "$fuzz_corpus"
+    # Routed answers byte for byte against a direct engine while
+    # backends are killed, hung and fed mangled frames.
+    ./build/bin/jitsched-fuzz cluster --seconds 10 --seed 1 \
         --corpus-dir "$fuzz_corpus"
     # Test the tester: with the lower-bound oracle inverted the run
     # must FAIL, fast.  A canary that passes means the fuzz loop can
@@ -613,6 +622,16 @@ if [ "$run_fuzz_smoke" -eq 1 ]; then
         echo "fuzz smoke: the broken-oracle canary PASSED — the" \
              "harness failed to detect a deliberately corrupted" \
              "result-cache body" >&2
+        exit 1
+    fi
+    # And for the cluster's routed-vs-direct byte identity: a
+    # corrupted direct answer must be flagged on the first round trip.
+    if ./build/bin/jitsched-fuzz cluster --seconds 10 --seed 1 \
+        --break-oracle cluster --corpus-dir "$fuzz_corpus" \
+        > /dev/null 2>&1; then
+        echo "fuzz smoke: the broken-oracle canary PASSED — the" \
+             "harness failed to detect a deliberately corrupted" \
+             "direct answer in the cluster fuzzer" >&2
         exit 1
     fi
     echo "fuzz smoke: clean run + canaries fired"

@@ -75,11 +75,6 @@ class ClusterHarness
         return nodes_[i]->server;
     }
 
-    ServiceEngine &backendEngine(std::size_t i)
-    {
-        return nodes_[i]->engine;
-    }
-
     std::uint16_t backendPort(std::size_t i) const
     {
         return nodes_[i]->server.port();

@@ -7,8 +7,8 @@
  * single-level approximations, A*, and the lower bound.  Each
  * evaluation is independent, so a batch fans out over all hardware
  * threads; a memoizing EvalCache lets sweeps that revisit a
- * configuration (ablation grids, A* re-expansions, repeated figure
- * rows) skip the simulate() entirely.
+ * configuration (ablation grids, repeated figure rows) skip the
+ * simulate() entirely.
  *
  * Determinism contract: evaluate() returns results in job order, and
  * both the results and the cache hit/miss counts are identical for
@@ -54,14 +54,10 @@ class BatchEvaluator
      * @param pool executor; must outlive the evaluator
      * @param cache memo table, or nullptr to evaluate everything;
      *              must outlive the evaluator when given
-     * @param counters per-caller hit/miss tally fed on every cache
-     *              probe (the service's per-request stats); may be
-     *              nullptr
      */
     explicit BatchEvaluator(ThreadPool &pool,
-                            EvalCache *cache = nullptr,
-                            EvalCounters *counters = nullptr)
-        : pool_(pool), cache_(cache), counters_(counters)
+                            EvalCache *cache = nullptr)
+        : pool_(pool), cache_(cache)
     {
     }
 
@@ -77,9 +73,6 @@ class BatchEvaluator
     SimResult evaluateOne(const Workload &w, const Schedule &s,
                           const SimOptions &opts = {});
 
-    ThreadPool &pool() { return pool_; }
-    EvalCache *cache() { return cache_; }
-
     /**
      * Process-wide evaluator over ThreadPool::global() and a shared
      * cache; what the benches use.
@@ -89,7 +82,6 @@ class BatchEvaluator
   private:
     ThreadPool &pool_;
     EvalCache *cache_;
-    EvalCounters *counters_;
 };
 
 } // namespace jitsched

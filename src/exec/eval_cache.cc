@@ -136,21 +136,17 @@ EvalCache::shardFor(const EvalKey &key) const
 }
 
 std::optional<SimResult>
-EvalCache::lookup(const EvalKey &key, EvalCounters *counters)
+EvalCache::lookup(const EvalKey &key)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lk(shard.mutex);
     const auto it = shard.map.find(key);
     if (it == shard.map.end()) {
         misses_.fetch_add(1, std::memory_order_relaxed);
-        if (counters != nullptr)
-            counters->misses.fetch_add(1, std::memory_order_relaxed);
         JITSCHED_OBS(obs::ExecMetrics::get().cacheMisses.add());
         return std::nullopt;
     }
     hits_.fetch_add(1, std::memory_order_relaxed);
-    if (counters != nullptr)
-        counters->hits.fetch_add(1, std::memory_order_relaxed);
     JITSCHED_OBS(obs::ExecMetrics::get().cacheHits.add());
     return it->second;
 }

@@ -2,13 +2,17 @@
  * @file
  * Memoizing cache for make-span evaluations.
  *
- * Large sweeps (A* re-expansions, ablation grids, figure tables)
- * revisit the same (workload, schedule, simulation options)
- * configuration many times; the cache lets them skip the redundant
- * simulate() calls.  Entries are keyed on content fingerprints — a
- * hash of the trace and profile table, a hash of the compile events,
- * and a hash of the simulation knobs — so two structurally identical
- * workloads share entries regardless of object identity.
+ * Large sweeps (ablation grids, figure tables) revisit the same
+ * (workload, schedule, simulation options) configuration many times;
+ * the cache lets them skip the redundant simulate() calls.  Entries
+ * are keyed on content fingerprints — a hash of the trace and profile
+ * table, a hash of the compile events, and a hash of the simulation
+ * knobs — so two structurally identical workloads share entries
+ * regardless of object identity.
+ *
+ * The scheduling daemon does not use it: one request evaluates one
+ * schedule, and its result cache (service/result_cache.hh) stores
+ * whole answers instead.
  *
  * The map is sharded by key hash, each shard behind its own mutex, so
  * concurrent probes from a thread-pool batch do not serialize on one
@@ -56,21 +60,6 @@ EvalKey makeEvalKey(const Workload &w, const Schedule &s,
                     const SimOptions &opts);
 
 /**
- * Caller-owned hit/miss tally, filled alongside the cache's own
- * process-global counters.  The service engine hands one per request
- * to its evaluator so a response's `stats cache-hits/-misses` counts
- * that request's probes alone — before/after deltas of the global
- * counters misattribute concurrent requests' probes to each other.
- * Atomics: probes are sequential per evaluate() call, but nothing
- * stops two evaluators sharing a tally.
- */
-struct EvalCounters
-{
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-};
-
-/**
  * Sharded, thread-safe memo table from EvalKey to SimResult.
  */
 class EvalCache
@@ -82,12 +71,10 @@ class EvalCache
     EvalCache &operator=(const EvalCache &) = delete;
 
     /**
-     * Look up a key.  Counts one hit or one miss — into the global
-     * counters and, when given, into @p counters.
+     * Look up a key.  Counts one hit or one miss.
      * @return the cached result, or nullopt on miss.
      */
-    std::optional<SimResult> lookup(const EvalKey &key,
-                                    EvalCounters *counters = nullptr);
+    std::optional<SimResult> lookup(const EvalKey &key);
 
     /** Insert (or overwrite) the result for a key. */
     void insert(const EvalKey &key, const SimResult &result);

@@ -6,10 +6,10 @@
  * A trace id is a nonzero 64-bit token minted at first contact
  * (jitsched-cli or the router) and propagated over the wire as the
  * optional `option trace-id <hex>` request line.  It is deliberately
- * fingerprint-neutral: requestFingerprint() never sees it, so the
- * EvalCache, CachedFirst admission and consistent-hash affinity
- * behave identically whether or not a request is traced (DESIGN.md
- * Sec. 5g).
+ * fingerprint-neutral: neither requestFingerprint() nor the result
+ * cache's key sees it, so cached answers and consistent-hash
+ * affinity behave identically whether or not a request is traced
+ * (DESIGN.md Sec. 5g).
  *
  * A span is one named interval attributed to a trace:
  *

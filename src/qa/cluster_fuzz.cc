@@ -119,6 +119,7 @@ struct ClusterFuzzer::Impl
     std::unique_ptr<cluster::Router> router;
     ServiceEngine reference;
     bool started = false;
+    bool breakOracle = false; ///< the canary: corrupt directAnswer()
     std::string startError;
 
     Impl()
@@ -180,7 +181,10 @@ struct ClusterFuzzer::Impl
     {
         ServiceResponse resp = reference.serve(req);
         resp.stats = {};
-        return responseText(resp, /*include_stats=*/false);
+        std::string text = responseText(resp, /*include_stats=*/false);
+        if (breakOracle)
+            text[text.size() / 2] ^= 0x01;
+        return text;
     }
 
     bool
@@ -268,8 +272,9 @@ ClusterFuzzer::error() const
 void
 ClusterFuzzer::runCase(Rng &rng, const FuzzDomain &domain,
                        std::vector<Violation> &out,
-                       ClusterFuzzStats *stats)
+                       ClusterFuzzStats *stats, bool break_oracle)
 {
+    impl_->breakOracle = break_oracle;
     if (!impl_->started) {
         report(out, "cluster-loopback",
                "cluster failed to start: " + impl_->startError);

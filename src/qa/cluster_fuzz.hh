@@ -14,6 +14,11 @@
  * failover path run on real sockets in almost every case; killed
  * backends must be ejected and, after restart, re-admitted by the
  * prober within a bounded wait.
+ *
+ * The `--break-oracle cluster` canary flips one byte of the direct
+ * answer every routed response is compared against; a healthy
+ * harness must flag the first valid round trip (test-the-tester,
+ * like the other canaries).
  */
 
 #ifndef JITSCHED_QA_CLUSTER_FUZZ_HH
@@ -62,11 +67,13 @@ class ClusterFuzzer
     /**
      * Run one injection scenario, appending violations.  Scenario
      * choice and all payloads come from @p rng, so a failing case
-     * replays from its (seed, case) pair alone.
+     * replays from its (seed, case) pair alone.  With
+     * @p break_oracle the expected answer is perturbed by one byte —
+     * the run must then FAIL (harness self-check).
      */
     void runCase(Rng &rng, const FuzzDomain &domain,
-                 std::vector<Violation> &out,
-                 ClusterFuzzStats *stats);
+                 std::vector<Violation> &out, ClusterFuzzStats *stats,
+                 bool break_oracle);
 
   private:
     struct Impl;

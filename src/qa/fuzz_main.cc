@@ -32,7 +32,7 @@
  *   jitsched-fuzz protocol [--seconds S] [--iterations N] [--seed K]
  *                          [--corpus-dir D]
  *   jitsched-fuzz cluster  [--seconds S] [--iterations N] [--seed K]
- *                          [--corpus-dir D]
+ *                          [--corpus-dir D] [--break-oracle cluster]
  *   jitsched-fuzz result-cache
  *                          [--seconds S] [--iterations N] [--seed K]
  *                          [--corpus-dir D]
@@ -89,6 +89,11 @@ usage(int rc)
         "                     result-cache: deliberately corrupt one\n"
         "                     byte of the published body; the run\n"
         "                     must FAIL (harness self-check)\n"
+        "  --break-oracle cluster\n"
+        "                     cluster: deliberately corrupt one byte\n"
+        "                     of the direct answer routed responses\n"
+        "                     are compared against; the run must\n"
+        "                     FAIL (harness self-check)\n"
         "  replay <file>...   re-run corpus files; nonzero on any\n"
         "                     failure\n";
     std::exit(rc);
@@ -105,6 +110,7 @@ struct FuzzArgs
     bool breakLowerBound = false;
     bool breakAstarPar = false;
     bool breakResultCache = false;
+    bool breakCluster = false;
     std::vector<std::string> files;
 };
 
@@ -155,10 +161,12 @@ parseArgs(int argc, char **argv)
                 args.breakAstarPar = true;
             else if (which == "result-cache")
                 args.breakResultCache = true;
+            else if (which == "cluster")
+                args.breakCluster = true;
             else
                 JITSCHED_FATAL("--break-oracle knows 'lower-bound', "
-                               "'astar-par' and 'result-cache', "
-                               "got '", which, "'");
+                               "'astar-par', 'result-cache' and "
+                               "'cluster', got '", which, "'");
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "jitsched-fuzz: unknown option '" << arg
                       << "'\n";
@@ -394,7 +402,8 @@ runCluster(const FuzzArgs &args)
     for (; budget.more(cases); ++cases) {
         Rng rng = Rng::caseStream(args.seed, cases);
         std::vector<Violation> violations;
-        injector.runCase(rng, domain, violations, &stats);
+        injector.runCase(rng, domain, violations, &stats,
+                         args.breakCluster);
         if (violations.empty())
             continue;
 

@@ -412,7 +412,7 @@ struct LoopbackFuzzer::Impl
 {
     ServiceEngine engine;
     ServiceServer server{engine};
-    ServiceEngine reference; // must not share cache with the server
+    ServiceEngine reference; // independent of the server under test
     bool started = false;
     std::string startError;
 

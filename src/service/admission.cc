@@ -1,8 +1,6 @@
 #include "service/admission.hh"
 
-#include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "obs/instruments.hh"
 #include "obs/span.hh"
@@ -31,7 +29,6 @@ AdmissionQueue::submit(ServiceRequest req)
                      std::chrono::milliseconds(req.options.deadlineMs);
         p.has_deadline = true;
     }
-    p.fingerprint = requestFingerprint(req);
     p.req = std::move(req);
     std::future<ServiceResponse> future = p.promise.get_future();
 
@@ -93,66 +90,44 @@ void
 AdmissionQueue::workerLoop()
 {
     for (;;) {
-        std::vector<Pending> batch;
-        {
-            std::unique_lock<std::mutex> lk(mutex_);
-            wake_cv_.wait(lk,
-                          [&] { return stop_ || !queue_.empty(); });
-            if (queue_.empty() && stop_)
-                return;
-            while (!queue_.empty() && batch.size() < cfg_.maxBatch) {
-                batch.push_back(std::move(queue_.front()));
-                queue_.pop_front();
-            }
-            JITSCHED_OBS(obs::ServiceMetrics::get().queueDepth.set(
-                static_cast<std::int64_t>(queue_.size())));
-        }
+        std::unique_lock<std::mutex> lk(mutex_);
+        wake_cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
+        if (queue_.empty() && stop_)
+            return;
+        Pending p = std::move(queue_.front());
+        queue_.pop_front();
+        JITSCHED_OBS(obs::ServiceMetrics::get().queueDepth.set(
+            static_cast<std::int64_t>(queue_.size())));
+        lk.unlock();
 
-        if (cfg_.discipline == AdmissionDiscipline::CachedFirst) {
-            // Stable: cache-backed requests first, arrival order
-            // preserved within each class (mirrors the
-            // first-compile-first queues of vm/compile_manager.hh).
-            std::stable_partition(
-                batch.begin(), batch.end(), [&](const Pending &p) {
-                    return served_fingerprints_.count(p.fingerprint) >
-                           0;
-                });
-        }
-
-        for (Pending &p : batch) {
-            if (p.has_deadline && Clock::now() > p.deadline) {
-                {
-                    std::lock_guard<std::mutex> lk(mutex_);
-                    ++expired_;
-                }
-                JITSCHED_OBS(
-                    obs::ServiceMetrics::get().requestsExpired.add());
-                answer(p, makeErrorResponse(
-                              p.req.id, errcode::deadlineExceeded,
-                              "request waited past its " +
-                                  std::to_string(
-                                      p.req.options.deadlineMs) +
-                                  " ms deadline"));
-                continue;
-            }
-            // The admission-wait span covers submit() -> this moment;
-            // the solve span nests inside engine_.serve().
-            obs::SpanCollector::global().recordBetween(
-                p.req.traceId, "service.admission_wait", p.admitted,
-                Clock::now());
-            ServiceResponse resp = engine_.serve(p.req);
-            if (served_fingerprints_.size() >=
-                cfg_.maxServedFingerprints)
-                served_fingerprints_.clear();
-            served_fingerprints_.insert(p.fingerprint);
+        if (p.has_deadline && Clock::now() > p.deadline) {
             {
-                std::lock_guard<std::mutex> lk(mutex_);
-                ++processed_;
+                std::lock_guard<std::mutex> guard(mutex_);
+                ++expired_;
             }
             JITSCHED_OBS(
-                obs::ServiceMetrics::get().requestsProcessed.add());
-            answer(p, std::move(resp));
+                obs::ServiceMetrics::get().requestsExpired.add());
+            answer(p,
+                   makeErrorResponse(
+                       p.req.id, errcode::deadlineExceeded,
+                       "request waited past its " +
+                           std::to_string(p.req.options.deadlineMs) +
+                           " ms deadline"));
+            continue;
         }
+        // The admission-wait span covers submit() -> this moment;
+        // the solve span nests inside engine_.serve().
+        obs::SpanCollector::global().recordBetween(
+            p.req.traceId, "service.admission_wait", p.admitted,
+            Clock::now());
+        ServiceResponse resp = engine_.serve(p.req);
+        {
+            std::lock_guard<std::mutex> guard(mutex_);
+            ++processed_;
+        }
+        JITSCHED_OBS(
+            obs::ServiceMetrics::get().requestsProcessed.add());
+        answer(p, std::move(resp));
     }
 }
 

@@ -3,23 +3,17 @@
  * Admission control for the scheduling service.
  *
  * Many clients, one solver pipeline: requests are admitted into a
- * bounded queue and served by a single worker that drains them in
- * batches through the shared ServiceEngine (and therefore through
- * the BatchEvaluator/EvalCache — duplicate requests across clients
- * hit the memo table instead of re-solving).
+ * bounded FIFO and served one at a time, in arrival order, by a
+ * single worker thread calling the shared ServiceEngine.  Repeats
+ * never get this far when the daemon runs its result cache
+ * (service/result_cache.hh): the connection handler answers them
+ * before admission.
  *
- * Overload policy is explicit, in the spirit of the parallel-job
- * scheduling literature the ROADMAP points at (Berg et al.; Kulkarni
- * & Li): when the queue is full the service answers
- * RESOURCE_EXHAUSTED immediately instead of stalling every client,
- * and a request that waited past its deadline is answered
+ * Overload policy is explicit: when the queue is full the service
+ * answers RESOURCE_EXHAUSTED immediately instead of stalling every
+ * client, and a request that waited past its deadline is answered
  * DEADLINE_EXCEEDED without burning solver time on an answer nobody
  * is waiting for.
- *
- * The queue discipline maps the paper's Sec. 7 insight onto the
- * service (see DESIGN.md): CachedFirst lets requests that will be
- * answered from the cache — the service analogue of cheap,
- * client-unblocking first compiles — overtake full solves.
  */
 
 #ifndef JITSCHED_SERVICE_ADMISSION_HH
@@ -32,48 +26,17 @@
 #include <future>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 
 #include "service/engine.hh"
 #include "service/protocol.hh"
 
 namespace jitsched {
 
-/** How the admission queue orders a drained batch. */
-enum class AdmissionDiscipline
-{
-    /** Strict arrival order. */
-    Fifo,
-
-    /**
-     * Requests whose fingerprint has been served before jump ahead:
-     * they are near-free cache hits, so serving them first minimizes
-     * mean flow time without meaningfully delaying the full solves —
-     * the Sec. 7 first-compile-first insight transplanted to the
-     * request queue.  Default.
-     */
-    CachedFirst
-};
-
 /** Knobs of the admission queue. */
 struct AdmissionConfig
 {
     /** Pending requests beyond this depth are shed. */
     std::size_t maxDepth = 64;
-
-    /** Maximum requests drained into one processing batch. */
-    std::size_t maxBatch = 16;
-
-    /**
-     * Cap on the served-fingerprint set behind CachedFirst; when
-     * exceeded the set is reset wholesale.  Keeps a long-running
-     * daemon's memory bounded under diverse workloads at the cost of
-     * briefly forgetting what is cached — a reordering heuristic, so
-     * forgetting is harmless.
-     */
-    std::size_t maxServedFingerprints = 4096;
-
-    AdmissionDiscipline discipline = AdmissionDiscipline::CachedFirst;
 };
 
 /**
@@ -125,7 +88,6 @@ class AdmissionQueue
         Clock::time_point admitted;
         Clock::time_point deadline; ///< valid when has_deadline
         bool has_deadline = false;
-        std::uint64_t fingerprint = 0;
     };
 
     void workerLoop();
@@ -143,9 +105,6 @@ class AdmissionQueue
     std::uint64_t shed_ = 0;
     std::uint64_t expired_ = 0;
     std::uint64_t processed_ = 0;
-
-    /** Fingerprints already served; worker-thread only. */
-    std::unordered_set<std::uint64_t> served_fingerprints_;
 
     std::thread worker_;
 };

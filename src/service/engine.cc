@@ -10,8 +10,6 @@ namespace jitsched {
 ServiceResponse
 ServiceEngine::serve(const ServiceRequest &req)
 {
-    served_.fetch_add(1, std::memory_order_relaxed);
-
     const SchedulerPolicy *policy = registry_.find(req.policy);
     if (policy == nullptr) {
         std::string known;
@@ -36,19 +34,13 @@ ServiceEngine::serve(const ServiceRequest &req)
         return resp;
     }
 
-    // This request's own probe tally: an evaluator over the shared
-    // pool and cache, counting into a local EvalCounters, so the
-    // stats line attributes hits/misses correctly even when serves
-    // overlap.
-    EvalCounters counters;
-    BatchEvaluator evaluator(pool_, &cache_, &counters);
     const auto t0 = std::chrono::steady_clock::now();
 
     PolicyOutcome outcome;
     {
         obs::ScopedSpan span(req.traceId, "service.solve");
         span.tag("policy", req.policy);
-        outcome = policy->run(req.workload, req.options, evaluator);
+        outcome = policy->run(req.workload, req.options, pool_);
     }
 
     const auto t1 = std::chrono::steady_clock::now();
@@ -68,10 +60,6 @@ ServiceEngine::serve(const ServiceRequest &req)
         resp.hasSchedule = outcome.hasSchedule;
         resp.schedule = outcome.schedule.events();
     }
-    resp.stats.cacheHits =
-        counters.hits.load(std::memory_order_relaxed);
-    resp.stats.cacheMisses =
-        counters.misses.load(std::memory_order_relaxed);
     resp.stats.traceId = req.traceId;
     resp.stats.solveNs =
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)

@@ -9,9 +9,8 @@
  *
  * Usage:
  *   jitschedd [--address A] [--port P] [--handlers N]
- *             [--queue-depth D] [--batch B] [--discipline fifo|cached-first]
- *             [--result-cache-mb M] [--snapshot-file FILE]
- *             [--trace-out FILE]
+ *             [--queue-depth D] [--result-cache-mb M]
+ *             [--snapshot-file FILE] [--trace-out FILE]
  */
 
 #include <signal.h>
@@ -40,8 +39,6 @@ usage(int rc)
         "  --port P             bind port; 0 = ephemeral (default 0)\n"
         "  --handlers N         connection handler threads (default 4)\n"
         "  --queue-depth D      admission queue depth (default 64)\n"
-        "  --batch B            max requests per worker batch (default 16)\n"
-        "  --discipline D       fifo | cached-first (default cached-first)\n"
         "  --result-cache-mb M  request-level result cache budget in MiB;\n"
         "                       0 disables (default: JITSCHED_RESULT_CACHE_MB,\n"
         "                       else 0)\n"
@@ -101,19 +98,6 @@ main(int argc, char **argv)
         } else if (arg == "--queue-depth") {
             cfg.admission.maxDepth =
                 static_cast<std::size_t>(intArg(arg, next()));
-        } else if (arg == "--batch") {
-            cfg.admission.maxBatch =
-                static_cast<std::size_t>(intArg(arg, next()));
-        } else if (arg == "--discipline") {
-            const std::string d = next();
-            if (d == "fifo")
-                cfg.admission.discipline = AdmissionDiscipline::Fifo;
-            else if (d == "cached-first")
-                cfg.admission.discipline =
-                    AdmissionDiscipline::CachedFirst;
-            else
-                JITSCHED_FATAL("--discipline must be fifo or "
-                               "cached-first, got '", d, "'");
         } else if (arg == "--result-cache-mb") {
             cfg.resultCacheBytes =
                 static_cast<std::size_t>(intArg(arg, next())) << 20;

@@ -9,7 +9,6 @@
 #include "core/iar.hh"
 #include "core/lower_bound.hh"
 #include "core/single_level.hh"
-#include "exec/batch_eval.hh"
 #include "exec/thread_pool.hh"
 #include "support/logging.hh"
 #include "vm/adaptive_runtime.hh"
@@ -40,13 +39,12 @@ simOptions(const ServiceOptions &opts)
 
 /**
  * Common shape of the static-schedule policies: pick candidates under
- * the requested model, build one schedule, evaluate it through the
- * shared cache.
+ * the requested model, build one schedule, simulate it.
  */
 template <typename BuildSchedule>
 PolicyOutcome
 staticOutcome(const Workload &w, const ServiceOptions &opts,
-              BatchEvaluator &eval, BuildSchedule &&build)
+              BuildSchedule &&build)
 {
     const std::vector<CandidatePair> cands =
         modelCandidateLevels(w, modelConfig(opts));
@@ -54,7 +52,7 @@ staticOutcome(const Workload &w, const ServiceOptions &opts,
     out.lowerBound = lowerBoundCandidates(w, cands);
     out.schedule = build(cands);
     out.hasSchedule = true;
-    out.sim = eval.evaluateOne(w, out.schedule, simOptions(opts));
+    out.sim = simulate(w, out.schedule, simOptions(opts));
     out.hasSim = true;
     return out;
 }
@@ -72,9 +70,9 @@ class IarPolicy final : public SchedulerPolicy
 
     PolicyOutcome
     run(const Workload &w, const ServiceOptions &opts,
-        BatchEvaluator &eval) const override
+        ThreadPool &) const override
     {
-        return staticOutcome(w, opts, eval, [&](const auto &cands) {
+        return staticOutcome(w, opts, [&](const auto &cands) {
             return iarSchedule(w, cands).schedule;
         });
     }
@@ -93,9 +91,9 @@ class BaseOnlyPolicy final : public SchedulerPolicy
 
     PolicyOutcome
     run(const Workload &w, const ServiceOptions &opts,
-        BatchEvaluator &eval) const override
+        ThreadPool &) const override
     {
-        return staticOutcome(w, opts, eval, [&](const auto &cands) {
+        return staticOutcome(w, opts, [&](const auto &cands) {
             return baseLevelSchedule(w, cands);
         });
     }
@@ -114,9 +112,9 @@ class OptOnlyPolicy final : public SchedulerPolicy
 
     PolicyOutcome
     run(const Workload &w, const ServiceOptions &opts,
-        BatchEvaluator &eval) const override
+        ThreadPool &) const override
     {
-        return staticOutcome(w, opts, eval, [&](const auto &cands) {
+        return staticOutcome(w, opts, [&](const auto &cands) {
             return optimizingLevelSchedule(w, cands);
         });
     }
@@ -134,7 +132,7 @@ class LowerBoundPolicy final : public SchedulerPolicy
 
     PolicyOutcome
     run(const Workload &w, const ServiceOptions &opts,
-        BatchEvaluator &) const override
+        ThreadPool &) const override
     {
         PolicyOutcome out;
         out.lowerBound = lowerBoundCandidates(
@@ -156,12 +154,12 @@ class AStarPolicy final : public SchedulerPolicy
 
     PolicyOutcome
     run(const Workload &w, const ServiceOptions &opts,
-        BatchEvaluator &eval) const override
+        ThreadPool &pool) const override
     {
         AStarConfig cfg;
         cfg.memoryBudget = opts.astarMemoryMb << 20;
         cfg.maxExpansions = opts.astarMaxExpansions;
-        cfg.pool = &eval.pool();
+        cfg.pool = &pool;
         const AStarResult res = aStarOptimal(w, cfg);
 
         PolicyOutcome out;
@@ -179,7 +177,7 @@ class AStarPolicy final : public SchedulerPolicy
         }
         out.schedule = res.schedule;
         out.hasSchedule = true;
-        out.sim = eval.evaluateOne(w, out.schedule, simOptions(opts));
+        out.sim = simulate(w, out.schedule, simOptions(opts));
         out.hasSim = true;
         return out;
     }
@@ -199,7 +197,7 @@ class AStarParPolicy final : public SchedulerPolicy
 
     PolicyOutcome
     run(const Workload &w, const ServiceOptions &opts,
-        BatchEvaluator &eval) const override
+        ThreadPool &) const override
     {
         AStarConfig cfg;
         cfg.memoryBudget = opts.astarMemoryMb << 20;
@@ -226,7 +224,7 @@ class AStarParPolicy final : public SchedulerPolicy
             w, modelCandidateLevels(w, modelConfig(opts)));
         out.schedule = res.schedule;
         out.hasSchedule = true;
-        out.sim = eval.evaluateOne(w, out.schedule, simOptions(opts));
+        out.sim = simulate(w, out.schedule, simOptions(opts));
         out.hasSim = true;
         return out;
     }
@@ -245,7 +243,7 @@ class JikesPolicy final : public SchedulerPolicy
 
     PolicyOutcome
     run(const Workload &w, const ServiceOptions &opts,
-        BatchEvaluator &) const override
+        ThreadPool &) const override
     {
         const CostBenefitConfig mcfg = modelConfig(opts);
         AdaptiveConfig acfg;
@@ -278,7 +276,7 @@ class V8SchemePolicy final : public SchedulerPolicy
 
     PolicyOutcome
     run(const Workload &w, const ServiceOptions &opts,
-        BatchEvaluator &) const override
+        ThreadPool &) const override
     {
         // The paper applies V8's scheme with the JIT restricted to
         // the two lowest levels; the bound is computed on the same

@@ -21,7 +21,8 @@
  *
  * Policies are pure with respect to a request: the same workload and
  * options always produce the same outcome, which is what lets the
- * service memoize evaluations across clients.
+ * daemon's result cache (service/result_cache.hh) answer a repeat
+ * with the stored bytes of the first solve.
  */
 
 #ifndef JITSCHED_SERVICE_POLICY_HH
@@ -41,7 +42,7 @@
 
 namespace jitsched {
 
-class BatchEvaluator;
+class ThreadPool;
 
 /** Per-request solver options, carried on the wire as `option` lines. */
 struct ServiceOptions
@@ -136,13 +137,12 @@ class SchedulerPolicy
      * Run the policy.
      * @param w the workload (validated by the protocol layer)
      * @param opts per-request options
-     * @param eval shared evaluator; static-schedule policies route
-     *        their simulate() through it so identical requests hit
-     *        the cache
+     * @param pool executor for A*'s child fan-out; the other
+     *        policies run on the calling thread
      */
     virtual PolicyOutcome run(const Workload &w,
                               const ServiceOptions &opts,
-                              BatchEvaluator &eval) const = 0;
+                              ThreadPool &pool) const = 0;
 };
 
 /**

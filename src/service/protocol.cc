@@ -1,7 +1,7 @@
 #include "service/protocol.hh"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -66,6 +66,29 @@ appendDouble(std::string &out, double v)
     tmp.precision(std::numeric_limits<double>::max_digits10);
     tmp << v;
     out += tmp.str();
+}
+
+/** `<tag> <id>` and a newline: the first line of every frame. */
+std::string
+headerLine(const char *tag, std::uint64_t id)
+{
+    std::string out = tag;
+    out += ' ';
+    appendInt(out, id);
+    out += '\n';
+    return out;
+}
+
+/** The `status error <CODE>` and `error <message>` lines. */
+void
+appendErrorStatus(std::string &out, const std::string &code,
+                  const std::string &message)
+{
+    out += "status error ";
+    out += code.empty() ? errcode::unavailable : code.c_str();
+    out += "\nerror ";
+    out += message;
+    out += '\n';
 }
 
 } // anonymous namespace
@@ -368,12 +391,10 @@ writeResponse(std::ostream &os, const ServiceResponse &resp,
 void
 writeStatsLine(std::ostream &os, const ServiceStats &stats)
 {
-    os << "stats cache-hits " << stats.cacheHits << " cache-misses "
-       << stats.cacheMisses << " queue-ns " << stats.queueNs
-       << " solve-ns " << stats.solveNs;
+    os << "stats queue-ns " << stats.queueNs << " solve-ns "
+       << stats.solveNs;
     // Emitted only when the result cache served the response: a
-    // cache-off daemon's frames stay byte-identical to pre-cache
-    // builds.
+    // cache-off daemon's stats line never mentions it.
     if (stats.resultCache != 0)
         os << " result-cache " << stats.resultCache;
     if (stats.traceId != 0)
@@ -574,13 +595,7 @@ tryReadResponse(std::istream &is, std::string *error)
                     parseFail(error, "bad stats value '" + val + "'");
                     return std::nullopt;
                 }
-                if (k == "cache-hits")
-                    resp.stats.cacheHits =
-                        static_cast<std::uint64_t>(*n);
-                else if (k == "cache-misses")
-                    resp.stats.cacheMisses =
-                        static_cast<std::uint64_t>(*n);
-                else if (k == "queue-ns")
+                if (k == "queue-ns")
                     resp.stats.queueNs = *n;
                 else if (k == "solve-ns")
                     resp.stats.solveNs = *n;
@@ -615,22 +630,13 @@ makeErrorResponse(std::uint64_t id, const std::string &code,
     return resp;
 }
 
-void
-writeStatsRequest(std::ostream &os, const StatsRequest &req)
-{
-    os << "jitsched-stats " << req.id;
-    if (req.prom)
-        os << " prom";
-    os << "\n";
-    os << "end\n";
-}
-
 std::string
 statsRequestText(const StatsRequest &req)
 {
-    std::ostringstream os;
-    writeStatsRequest(os, req);
-    return os.str();
+    std::string out = "jitsched-stats ";
+    appendInt(out, req.id);
+    out += req.prom ? " prom\nend\n" : "\nend\n";
+    return out;
 }
 
 std::optional<StatsRequest>
@@ -830,19 +836,10 @@ makeStatsResponse(std::uint64_t id, const std::string &snapshot_text,
     return resp;
 }
 
-void
-writeDumpRequest(std::ostream &os, const DumpRequest &req)
-{
-    os << "jitsched-dump " << req.id << "\n";
-    os << "end\n";
-}
-
 std::string
 dumpRequestText(const DumpRequest &req)
 {
-    std::ostringstream os;
-    writeDumpRequest(os, req);
-    return os.str();
+    return headerLine("jitsched-dump", req.id) + "end\n";
 }
 
 std::optional<DumpRequest>
@@ -881,31 +878,24 @@ tryReadDumpRequest(std::istream &is, std::string *error)
     return req;
 }
 
-void
-writeDumpResponse(std::ostream &os, const DumpResponse &resp)
-{
-    os << "jitsched-dump-response " << resp.id << "\n";
-    if (resp.ok) {
-        os << "status ok\n";
-        os << "records " << resp.records.size() << "\n";
-        for (const obs::FlightRecord &r : resp.records)
-            os << "record " << obs::FlightRecorder::recordLine(r)
-               << "\n";
-    } else {
-        os << "status error "
-           << (resp.code.empty() ? errcode::unavailable : resp.code)
-           << "\n";
-        os << "error " << resp.error << "\n";
-    }
-    os << "end\n";
-}
-
 std::string
 dumpResponseText(const DumpResponse &resp)
 {
-    std::ostringstream os;
-    writeDumpResponse(os, resp);
-    return os.str();
+    std::string out = headerLine("jitsched-dump-response", resp.id);
+    if (resp.ok) {
+        out += "status ok\nrecords ";
+        appendInt(out, resp.records.size());
+        out += '\n';
+        for (const obs::FlightRecord &r : resp.records) {
+            out += "record ";
+            out += obs::FlightRecorder::recordLine(r);
+            out += '\n';
+        }
+    } else {
+        appendErrorStatus(out, resp.code, resp.error);
+    }
+    out += "end\n";
+    return out;
 }
 
 namespace {
@@ -1067,19 +1057,10 @@ makeDumpResponse(std::uint64_t id,
     return resp;
 }
 
-void
-writeSnapshotRequest(std::ostream &os, const SnapshotRequest &req)
-{
-    os << "jitsched-snapshot " << req.id << "\n";
-    os << "end\n";
-}
-
 std::string
 snapshotRequestText(const SnapshotRequest &req)
 {
-    std::ostringstream os;
-    writeSnapshotRequest(os, req);
-    return os.str();
+    return headerLine("jitsched-snapshot", req.id) + "end\n";
 }
 
 std::optional<SnapshotRequest>
@@ -1120,29 +1101,22 @@ tryReadSnapshotRequest(std::istream &is, std::string *error)
     return req;
 }
 
-void
-writeSnapshotResponse(std::ostream &os, const SnapshotResponse &resp)
-{
-    os << "jitsched-snapshot-response " << resp.id << "\n";
-    if (resp.ok) {
-        os << "status ok\n";
-        os << "entries " << resp.entries << "\n";
-        os << "bytes " << resp.bytes << "\n";
-    } else {
-        os << "status error "
-           << (resp.code.empty() ? errcode::unavailable : resp.code)
-           << "\n";
-        os << "error " << resp.error << "\n";
-    }
-    os << "end\n";
-}
-
 std::string
 snapshotResponseText(const SnapshotResponse &resp)
 {
-    std::ostringstream os;
-    writeSnapshotResponse(os, resp);
-    return os.str();
+    std::string out =
+        headerLine("jitsched-snapshot-response", resp.id);
+    if (resp.ok) {
+        out += "status ok\nentries ";
+        appendInt(out, resp.entries);
+        out += "\nbytes ";
+        appendInt(out, resp.bytes);
+        out += '\n';
+    } else {
+        appendErrorStatus(out, resp.code, resp.error);
+    }
+    out += "end\n";
+    return out;
 }
 
 std::optional<SnapshotResponse>
@@ -1244,19 +1218,10 @@ makeSnapshotResponse(std::uint64_t id, std::uint64_t entries,
     return resp;
 }
 
-void
-writePingRequest(std::ostream &os, const PingRequest &req)
-{
-    os << "jitsched-ping " << req.id << "\n";
-    os << "end\n";
-}
-
 std::string
 pingRequestText(const PingRequest &req)
 {
-    std::ostringstream os;
-    writePingRequest(os, req);
-    return os.str();
+    return headerLine("jitsched-ping", req.id) + "end\n";
 }
 
 std::optional<PingRequest>
@@ -1294,27 +1259,16 @@ tryReadPingRequest(std::istream &is, std::string *error)
     return req;
 }
 
-void
-writePongResponse(std::ostream &os, const PongResponse &resp)
-{
-    os << "jitsched-pong " << resp.id << "\n";
-    if (resp.ok) {
-        os << "status ok\n";
-    } else {
-        os << "status error "
-           << (resp.code.empty() ? errcode::unavailable : resp.code)
-           << "\n";
-        os << "error " << resp.error << "\n";
-    }
-    os << "end\n";
-}
-
 std::string
 pongResponseText(const PongResponse &resp)
 {
-    std::ostringstream os;
-    writePongResponse(os, resp);
-    return os.str();
+    std::string out = headerLine("jitsched-pong", resp.id);
+    if (resp.ok)
+        out += "status ok\n";
+    else
+        appendErrorStatus(out, resp.code, resp.error);
+    out += "end\n";
+    return out;
 }
 
 std::optional<PongResponse>
@@ -1416,11 +1370,12 @@ requestFingerprint(const ServiceRequest &req)
     const ServiceOptions &o = req.options;
     h = hashCombine(h, o.compileCores);
     h = hashCombine(h, o.model == ModelKind::Oracle ? 1 : 0);
-    std::uint64_t sigma_bits = 0;
-    static_assert(sizeof(sigma_bits) == sizeof(o.jitterSigma));
-    std::memcpy(&sigma_bits, &o.jitterSigma, sizeof(sigma_bits));
-    h = hashCombine(h, sigma_bits);
-    h = hashCombine(h, o.jitterSeed);
+    // Like appendPolicyAndOptions(): with sigma 0 the seed draws
+    // nothing, so neither is part of the request's identity.
+    if (o.jitterSigma != 0.0) {
+        h = hashCombine(h, std::bit_cast<std::uint64_t>(o.jitterSigma));
+        h = hashCombine(h, o.jitterSeed);
+    }
     h = hashCombine(h, o.astarMaxExpansions);
     h = hashCombine(h, o.astarMemoryMb);
     return h;

@@ -42,19 +42,21 @@
  *   calls-at-level <n0> <n1> …  ┘
  *   schedule <K>                present when a schedule exists,
  *   <func> <level>              followed by K event lines
- *   stats cache-hits <h> cache-misses <m> queue-ns <q> solve-ns <s>
- *     [result-cache <r>] [trace-id <hex>]
+ *   stats queue-ns <q> solve-ns <s> [result-cache <r>]
+ *     [trace-id <hex>]
  *   end
  *
  * Everything above the `stats` line is a pure function of the request
  * — byte-identical to a direct library call.  The `stats` line is the
- * only volatile part (cache behaviour, queueing, wall time, and the
- * echoed trace id when the request carried one), so clients
- * comparing results strip exactly that line.  `result-cache` appears
- * only when the response came out of the request-level result cache
- * (1 = served from the store, 2 = collapsed onto a concurrent
- * identical solve); a cache-off daemon never emits the token, so its
- * frames are byte-identical to pre-cache builds.
+ * only volatile part (queueing, wall time, result-cache service, and
+ * the echoed trace id when the request carried one), so clients
+ * comparing results strip exactly that line.  Parsers ignore stats
+ * keys they do not know, so the `cache-hits <h> cache-misses <m>`
+ * pair that older daemons put first still parses.  `result-cache`
+ * appears only when the response came out of the request-level
+ * result cache (1 = served from the store, 2 = collapsed onto a
+ * concurrent identical solve); a cache-off daemon never emits the
+ * token.
  *
  * Besides scheduling requests, a connection can scrape the daemon's
  * metrics registry (obs/metrics.hh) with a STATS frame:
@@ -169,10 +171,10 @@ struct ServiceRequest
     /**
      * Distributed trace id; 0 means untraced.  Carried as the
      * optional `option trace-id <hex>` line, lives outside
-     * ServiceOptions on purpose: requestFingerprint() and
-     * ServiceOptions::operator== must never see it (tracing a
-     * request must not split the EvalCache or move it to another
-     * backend).
+     * ServiceOptions on purpose: requestFingerprint(),
+     * ServiceOptions::operator== and the result-cache key must never
+     * see it (tracing a request must not split a cached answer or
+     * move the request to another backend).
      */
     std::uint64_t traceId = 0;
 
@@ -192,8 +194,13 @@ inline constexpr const char *unavailable = "UNAVAILABLE";
 /** Volatile per-request serving statistics (the `stats` line). */
 struct ServiceStats
 {
-    std::uint64_t cacheHits = 0;   ///< EvalCache hits this request
-    std::uint64_t cacheMisses = 0; ///< EvalCache misses this request
+    /**
+     * Always 0, never on the wire: the engine keeps no memo.  Left
+     * for the end-to-end benchmark, which still reads them.
+     */
+    std::uint64_t cacheHits = 0;
+    std::uint64_t cacheMisses = 0; ///< always 0, like cacheHits
+
     std::int64_t queueNs = 0;      ///< admission -> processing start
     std::int64_t solveNs = 0;      ///< processing wall time
 
@@ -349,9 +356,6 @@ struct PongResponse
     std::string error;
 };
 
-/** Serialize a stats-request frame. */
-void writeStatsRequest(std::ostream &os, const StatsRequest &req);
-
 /** Stats-request frame as a string. */
 std::string statsRequestText(const StatsRequest &req);
 
@@ -400,18 +404,12 @@ struct DumpResponse
     std::vector<obs::FlightRecord> records;
 };
 
-/** Serialize a dump-request frame. */
-void writeDumpRequest(std::ostream &os, const DumpRequest &req);
-
 /** Dump-request frame as a string. */
 std::string dumpRequestText(const DumpRequest &req);
 
 /** Parse one dump-request frame, consuming through `end`. */
 std::optional<DumpRequest>
 tryReadDumpRequest(std::istream &is, std::string *error = nullptr);
-
-/** Serialize a dump-response frame. */
-void writeDumpResponse(std::ostream &os, const DumpResponse &resp);
 
 /** Dump-response frame as a string. */
 std::string dumpResponseText(const DumpResponse &resp);
@@ -451,19 +449,12 @@ struct SnapshotResponse
     std::uint64_t bytes = 0;
 };
 
-/** Serialize a snapshot-request frame. */
-void writeSnapshotRequest(std::ostream &os, const SnapshotRequest &req);
-
 /** Snapshot-request frame as a string. */
 std::string snapshotRequestText(const SnapshotRequest &req);
 
 /** Parse one snapshot-request frame, consuming through `end`. */
 std::optional<SnapshotRequest>
 tryReadSnapshotRequest(std::istream &is, std::string *error = nullptr);
-
-/** Serialize a snapshot-response frame. */
-void writeSnapshotResponse(std::ostream &os,
-                           const SnapshotResponse &resp);
 
 /** Snapshot-response frame as a string. */
 std::string snapshotResponseText(const SnapshotResponse &resp);
@@ -477,18 +468,12 @@ SnapshotResponse makeSnapshotResponse(std::uint64_t id,
                                       std::uint64_t entries,
                                       std::uint64_t bytes);
 
-/** Serialize a ping frame. */
-void writePingRequest(std::ostream &os, const PingRequest &req);
-
 /** Ping frame as a string. */
 std::string pingRequestText(const PingRequest &req);
 
 /** Parse one ping frame, consuming through `end`. */
 std::optional<PingRequest>
 tryReadPingRequest(std::istream &is, std::string *error = nullptr);
-
-/** Serialize a pong frame. */
-void writePongResponse(std::ostream &os, const PongResponse &resp);
 
 /** Pong frame as a string. */
 std::string pongResponseText(const PongResponse &resp);
@@ -514,11 +499,13 @@ std::string_view frameTag(std::string_view frame);
 bool isFrameEnd(std::string_view raw_line);
 
 /**
- * Content fingerprint of a request: policy + options + workload.
- * Identical requests — the ones whose evaluations the cache merges —
- * have identical fingerprints.  The trace id is deliberately NOT
- * hashed: tracing is an observer, and an observed request must cache
- * and route exactly like an unobserved one.
+ * Content fingerprint of a request: policy + options + workload —
+ * the cluster router's affinity key.  Requests that differ only in
+ * what the canonical frame drops (id, deadline-ms, trace-id, and
+ * jitter-seed while jitter-sigma is 0) have identical fingerprints,
+ * so a repeat lands on the backend whose result cache holds its
+ * answer.  Tracing is an observer: an observed request must route
+ * exactly like an unobserved one.
  */
 std::uint64_t requestFingerprint(const ServiceRequest &req);
 

@@ -189,13 +189,29 @@ TEST(RouterLoopback, MalformedFrameGetsTheDaemonsErrorBytes)
     EXPECT_EQ(stripStats(*raw), directAnswer(reference, req));
 }
 
+/** fastCluster() with every backend's result cache on. */
+ClusterHarnessConfig
+cachedCluster(std::size_t backends)
+{
+    ClusterHarnessConfig cfg = fastCluster(backends);
+    cfg.backend.resultCacheBytes = std::size_t(4) << 20;
+    return cfg;
+}
+
+/** Store hits of backend @p b's result cache. */
+std::uint64_t
+resultCacheHits(ClusterHarness &cluster, std::size_t b)
+{
+    return cluster.backendServer(b).resultCache().counters().hits;
+}
+
 TEST(RouterLoopback, AffinityKeepsRepeatsOnTheCachedBackend)
 {
-    // Send distinct requests once to warm each owner's EvalCache,
+    // Send distinct requests once to warm each owner's result cache,
     // then resend them all.  Affinity must land every repeat on the
-    // backend that already holds its evaluations, so the cluster-wide
-    // hit count has to climb by at least one per repeat.
-    ClusterHarness cluster(fastCluster(2));
+    // backend that already holds its answer, so every repeat is a
+    // store hit.
+    ClusterHarness cluster(cachedCluster(2));
     std::string error;
     ASSERT_TRUE(cluster.start(&error)) << error;
 
@@ -215,7 +231,7 @@ TEST(RouterLoopback, AffinityKeepsRepeatsOnTheCachedBackend)
     auto clusterHits = [&cluster] {
         std::uint64_t hits = 0;
         for (std::size_t b = 0; b < cluster.backendCount(); ++b)
-            hits += cluster.backendEngine(b).cache().hits();
+            hits += resultCacheHits(cluster, b);
         return hits;
     };
 
@@ -235,7 +251,7 @@ TEST(RouterLoopback, AffinityKeepsRepeatsOnTheCachedBackend)
 
 TEST(RouterLoopback, FailoverThenReadmissionAcrossABackendBounce)
 {
-    ClusterHarness cluster(fastCluster(2));
+    ClusterHarness cluster(cachedCluster(2));
     std::string error;
     ASSERT_TRUE(cluster.start(&error)) << error;
 
@@ -289,14 +305,14 @@ TEST(RouterLoopback, FailoverThenReadmissionAcrossABackendBounce)
         << "owner not re-admitted within 5s of restart";
     EXPECT_GE(cluster.router().pool().readmissions(owner), 1u);
 
-    // And traffic flows back to it: the owner's cache starts hitting
-    // again once repeats are routed home.
+    // And traffic flows back to it: the owner's result cache, which
+    // kept its entries across the bounce, starts hitting again once
+    // repeats are routed home.
     const std::uint64_t owner_hits_before =
-        cluster.backendEngine(owner).cache().hits();
+        resultCacheHits(cluster, owner);
     for (int shot = 0; shot < 3; ++shot)
         roundTrip(id++);
-    EXPECT_GT(cluster.backendEngine(owner).cache().hits(),
-              owner_hits_before)
+    EXPECT_GT(resultCacheHits(cluster, owner), owner_hits_before)
         << "re-admitted owner is not seeing its keys again";
 }
 

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/batch_eval.hh"
-#include "exec/eval_cache.hh"
 #include "exec/thread_pool.hh"
 #include "service/policy.hh"
 #include "trace/paper_examples.hh"
@@ -27,12 +25,10 @@ class PolicyTest : public ::testing::Test
         const SchedulerPolicy *p =
             PolicyRegistry::builtin().find(name);
         EXPECT_NE(p, nullptr) << name;
-        return p->run(w, opts, eval_);
+        return p->run(w, opts, pool_);
     }
 
     ThreadPool pool_{2};
-    EvalCache cache_;
-    BatchEvaluator eval_{pool_, &cache_};
 };
 
 TEST_F(PolicyTest, BuiltinRegistryHoldsTheEightPolicies)
@@ -161,14 +157,32 @@ TEST_F(PolicyTest, PoliciesAreDeterministic)
     }
 }
 
-TEST_F(PolicyTest, StaticEvaluationsGoThroughTheSharedCache)
+TEST_F(PolicyTest, StaticPoliciesSimulateTheirScheduleUnderTheOptions)
 {
-    const Workload w = figure1Workload();
-    run("iar", w);
-    const std::uint64_t misses_after_first = cache_.misses();
-    run("iar", w);
-    EXPECT_GT(cache_.hits(), 0u);
-    EXPECT_EQ(cache_.misses(), misses_after_first);
+    // The reported evaluation is exactly simulate() of the returned
+    // schedule under the request's cores and jitter knobs.
+    const Workload w = figure2Workload();
+    ServiceOptions opts;
+    opts.compileCores = 2;
+    opts.jitterSigma = 0.25;
+    opts.jitterSeed = 9;
+    SimOptions so;
+    so.compileCores = opts.compileCores;
+    so.execJitterSigma = opts.jitterSigma;
+    so.jitterSeed = opts.jitterSeed;
+    for (const std::string name :
+         {"iar", "base-only", "opt-only", "astar", "astar-par"}) {
+        SCOPED_TRACE(name);
+        const PolicyOutcome out = run(name, w, opts);
+        ASSERT_TRUE(out.ok) << out.error;
+        ASSERT_TRUE(out.hasSim);
+        const SimResult want = simulate(w, out.schedule, so);
+        EXPECT_EQ(out.sim.makespan, want.makespan);
+        EXPECT_EQ(out.sim.compileEnd, want.compileEnd);
+        EXPECT_EQ(out.sim.totalBubble, want.totalBubble);
+        EXPECT_EQ(out.sim.totalExec, want.totalExec);
+        EXPECT_EQ(out.sim.callsAtLevel, want.callsAtLevel);
+    }
 }
 
 } // anonymous namespace

@@ -2,7 +2,7 @@
  * @file
  * Wire-protocol tests: request/response round trips, option
  * validation, malformed frames, frame-end detection, and the request
- * fingerprint the admission queue and cache discipline rely on.
+ * fingerprint the cluster router's affinity relies on.
  */
 
 #include <sstream>
@@ -175,12 +175,14 @@ TEST(ServiceProtocol, OkResponseRoundTrip)
     resp.sim.callsAtLevel = {3, 1};
     resp.hasSchedule = true;
     resp.schedule = {{0, 0}, {1, 1}};
-    resp.stats.cacheHits = 2;
-    resp.stats.cacheMisses = 1;
     resp.stats.queueNs = 100;
     resp.stats.solveNs = 2000;
 
-    std::istringstream is(responseText(resp));
+    const std::string text = responseText(resp);
+    EXPECT_NE(text.find("\nstats queue-ns 100 solve-ns 2000\n"),
+              std::string::npos)
+        << text;
+    std::istringstream is(text);
     std::string error;
     const auto back = tryReadResponse(is, &error);
     ASSERT_TRUE(back.has_value()) << error;
@@ -195,7 +197,7 @@ TEST(ServiceProtocol, OkResponseRoundTrip)
     ASSERT_EQ(back->schedule.size(), resp.schedule.size());
     EXPECT_EQ(back->schedule[1].func, resp.schedule[1].func);
     EXPECT_EQ(back->schedule[1].level, resp.schedule[1].level);
-    EXPECT_EQ(back->stats.cacheHits, resp.stats.cacheHits);
+    EXPECT_EQ(back->stats.queueNs, resp.stats.queueNs);
     EXPECT_EQ(back->stats.solveNs, resp.stats.solveNs);
 }
 
@@ -354,6 +356,31 @@ TEST(ServiceProtocol, FingerprintSeesPolicyOptionsAndWorkload)
     other_workload.workload = figure2Workload();
     EXPECT_NE(requestFingerprint(base),
               requestFingerprint(other_workload));
+}
+
+TEST(ServiceProtocol, FingerprintIgnoresDormantJitterSeed)
+{
+    // With sigma 0 the seed draws nothing: the canonical frame drops
+    // it, so affinity must too, or byte-identical requests split
+    // across backends.
+    ServiceRequest seedless = exampleRequest();
+    seedless.options.jitterSigma = 0.0;
+    seedless.options.jitterSeed = ServiceOptions{}.jitterSeed;
+    for (const std::uint64_t seed : {0ull, 2ull, 7ull, 1ull << 40}) {
+        SCOPED_TRACE(seed);
+        ServiceRequest dormant = seedless;
+        dormant.options.jitterSeed = seed;
+        EXPECT_EQ(requestText(dormant), requestText(seedless));
+        EXPECT_EQ(requestFingerprint(dormant),
+                  requestFingerprint(seedless));
+    }
+
+    // A live seed still splits requests.
+    ServiceRequest live = exampleRequest();
+    ServiceRequest other_seed = exampleRequest();
+    other_seed.options.jitterSeed = live.options.jitterSeed + 1;
+    EXPECT_NE(requestFingerprint(live),
+              requestFingerprint(other_seed));
 }
 
 TEST(ServiceProtocol, PingRequestRoundTrip)

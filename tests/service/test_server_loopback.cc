@@ -6,7 +6,7 @@
  * must be byte-identical to direct library calls (modulo the
  * volatile stats line), malformed frames must get structured errors
  * without killing the connection, and duplicates must be answered
- * from the EvalCache.
+ * from the result cache when the daemon runs one.
  */
 
 #include <atomic>
@@ -195,23 +195,31 @@ TEST_F(LoopbackTest, GarbageBeforeAnEndLineIsSurvivable)
 
 TEST_F(LoopbackTest, DuplicateRequestsAreAnsweredFromTheCache)
 {
-    ServiceClient client;
+    // The fixture's daemon runs cache-off, the default; repeats are
+    // the result cache's job, so this one turns it on.
+    ServerConfig cfg;
+    cfg.resultCacheBytes = std::size_t(4) << 20;
+    ServiceServer cached(engine_, cfg);
     std::string error;
-    ASSERT_TRUE(client.connect("127.0.0.1", server_.port(), &error))
+    ASSERT_TRUE(cached.start(&error)) << error;
+    ServiceClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", cached.port(), &error))
         << error;
 
-    const auto first = client.call(
-        makeRequest(1, "iar", figure1Workload()), &error);
+    const ServiceRequest req = makeRequest(1, "iar", figure1Workload());
+    const auto first = client.callRaw(requestText(req), &error);
     ASSERT_TRUE(first.has_value()) << error;
-    ASSERT_TRUE(first->ok);
-
-    const auto second = client.call(
-        makeRequest(2, "iar", figure1Workload()), &error);
+    const auto second = client.callRaw(requestText(req), &error);
     ASSERT_TRUE(second.has_value()) << error;
-    ASSERT_TRUE(second->ok);
-    EXPECT_GT(second->stats.cacheHits, 0u);
-    EXPECT_EQ(second->stats.cacheMisses, 0u);
-    EXPECT_EQ(second->sim.makespan, first->sim.makespan);
+
+    std::istringstream is(*second);
+    const auto resp = tryReadResponse(is);
+    ASSERT_TRUE(resp.has_value());
+    ASSERT_TRUE(resp->ok);
+    EXPECT_EQ(resp->stats.resultCache, 1u);
+    EXPECT_EQ(cached.admission().processed(), 1u);
+    EXPECT_EQ(stripStats(*second), stripStats(*first));
+    EXPECT_EQ(stripStats(*second), directAnswer(req));
 }
 
 TEST_F(LoopbackTest, EightConcurrentClientsMixedTraffic)
@@ -232,7 +240,6 @@ TEST_F(LoopbackTest, EightConcurrentClientsMixedTraffic)
 
     std::atomic<std::uint64_t> mismatches{0};
     std::atomic<std::uint64_t> malformed_ok{0};
-    std::atomic<std::uint64_t> cache_hit_responses{0};
     std::atomic<std::uint64_t> transport_errors{0};
 
     std::vector<std::thread> clients;
@@ -281,10 +288,6 @@ TEST_F(LoopbackTest, EightConcurrentClientsMixedTraffic)
                 }
                 if (stripStats(*raw) != want)
                     ++mismatches;
-                std::istringstream is(*raw);
-                const auto resp = tryReadResponse(is);
-                if (resp && resp->ok && resp->stats.cacheHits > 0)
-                    ++cache_hit_responses;
             }
         });
     }
@@ -300,11 +303,10 @@ TEST_F(LoopbackTest, EightConcurrentClientsMixedTraffic)
         for (std::size_t i = 0; i < kRequestsPerClient; ++i)
             expected_malformed += ((c + i) % 4 == 3) ? 1 : 0;
     EXPECT_EQ(malformed_ok, expected_malformed);
-    // Three distinct evaluations served 36 valid requests: the rest
-    // were answered from the cache, visible in the per-response
-    // counters.
-    EXPECT_GT(cache_hit_responses, 0u);
-    EXPECT_GT(engine_.cache().hits(), 0u);
+    // Cache-off: every valid frame, duplicates included, was solved
+    // by the engine behind the admission queue.
+    EXPECT_EQ(server_.admission().processed(),
+              kClients * kRequestsPerClient - expected_malformed);
 
     // The server survived all of it.
     EXPECT_EQ(server_.framesServed(),
