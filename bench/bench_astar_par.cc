@@ -1,18 +1,19 @@
 /**
  * @file
- * Measures the parallel anytime A* (core/astar_par.hh) against the
- * sequential search the paper's Sec. 6.2.5 experiment uses.
+ * Measures the parallel anytime A* (core/astar_par.hh) against its
+ * one-worker, unseeded run (aStarOptimal) — the plain search the
+ * paper's Sec. 6.2.5 experiment uses.
  *
  * Part 1 isolates the *algorithmic* gain: seeding the search with the
  * IAR schedule's make-span as an incumbent upper bound and pruning
- * every node with f >= incumbent at generation.  Both searches are
- * sequential and find the identical optimum; the expanded-node ratio
+ * every node with f >= incumbent at generation.  Both searches run
+ * one worker and find the identical optimum; the expanded-node ratio
  * is therefore pure pruning power.  Target: >= 2x fewer expansions on
  * instances with at least 5 unique functions.
  *
  * Part 2 measures the *mechanical* gain: hash-distributed expansion
  * at 1/2/4/8 workers on one instance, wall-clock speedup over the
- * sequential search.  The table reports whatever the host delivers —
+ * one-worker search.  The table reports whatever the host delivers —
  * on a single-core container the sharded search cannot go faster than
  * sequential (there is one execution unit; extra workers only add
  * routing overhead), and the artifact records the detected core count
@@ -129,7 +130,7 @@ timedPar(const Workload &w, const AStarConfig &cfg)
     return run;
 }
 
-/** Part 1 row: sequential search, pruning off vs. on. */
+/** Part 1 row: one-worker search, pruning off vs. on. */
 struct PruneRow
 {
     std::size_t funcs = 0;
@@ -180,10 +181,10 @@ struct SizeRow
 int
 runSmoke()
 {
-    // Deterministic by construction: sequential searches and
-    // single-worker parallel searches have a fixed expansion order;
-    // multi-worker runs contribute only their cost, which the
-    // determinism contract fixes (bit-identical to sequential).
+    // Deterministic by construction: one-worker searches have a
+    // fixed expansion order; multi-worker runs contribute only their
+    // cost, which the determinism contract fixes (bit-identical to
+    // the one-worker optimum).
     std::cout << "astar-par-smoke v1\n";
     for (const std::size_t funcs : {5, 6}) {
         const Workload w = parWorkload(funcs);
@@ -282,7 +283,7 @@ main(int argc, char **argv)
     const unsigned cores = std::thread::hardware_concurrency();
 
     // ---- Part 1: what incumbent pruning alone buys. ----
-    std::cout << "== IAR incumbent pruning (sequential A*, same "
+    std::cout << "== IAR incumbent pruning (one-worker A*, same "
                  "optimum) ==\n";
     AsciiTable pt({"#functions", "plain expanded", "pruned expanded",
                    "exp. red.", "plain stored", "pruned stored",

@@ -5,24 +5,29 @@
 #
 #   scripts/check.sh           # build + ctest -L tier1
 #   scripts/check.sh --tsan    # also build the thread-heavy tests
-#                              # (`exec`, `service` and `cluster`
-#                              # ctest labels) with -fsanitize=thread
-#                              # in build-tsan/ and run them (thread
-#                              # pool, eval cache, batch determinism,
-#                              # admission queue, loopback server,
-#                              # cluster router + health prober)
+#                              # (`exec`, `service`, `cluster`, `obs`,
+#                              # `qa` and `core_par` ctest labels)
+#                              # with -fsanitize=thread in build-tsan/
+#                              # and run them (thread pool, eval
+#                              # cache, batch determinism, admission
+#                              # queue, loopback server, cluster
+#                              # router + health prober, metrics and
+#                              # spans, fuzz oracles, and the
+#                              # multi-worker A*)
 #   scripts/check.sh --bench-smoke
 #                              # also run bench_astar --smoke and diff
 #                              # its deterministic search counters
 #                              # against bench/expectations/ — catches
 #                              # unintended changes to A* expansion
 #                              # order, pruning, or evaluation totals
+#                              # (one-worker runs of the one engine)
 #   scripts/check.sh --par-smoke
 #                              # also run bench_astar_par --smoke and
 #                              # diff its deterministic counters
-#                              # (single-worker parallel A*, incumbent
-#                              # pruning, cross-mode cost agreement)
-#                              # against bench/expectations/
+#                              # (one-worker runs with and without the
+#                              # incumbent seed, cross-worker-count
+#                              # cost agreement) against
+#                              # bench/expectations/
 #   scripts/check.sh --obs-smoke
 #                              # also exercise the observability
 #                              # surface end to end: start jitschedd,
@@ -670,11 +675,13 @@ if [ "$run_tsan" -eq 1 ]; then
     JITSCHED_THREADS=4 ./build-tsan/tests/test_exec \
         --gtest_filter='ThreadPool*:EvalCache*:Batch*'
     # The hash-distributed parallel A* (the `core_par` ctest label):
-    # MPSC inboxes, the atomic incumbent, the live-node terminator,
-    # and per-worker memory accounting, all under real concurrency.
+    # MPSC inboxes, ancestor walks across workers' node stores, the
+    # atomic incumbent, the live-node terminator, and per-worker
+    # memory accounting, all under real concurrency.
     JITSCHED_THREADS=4 ./build-tsan/tests/test_core_par
     # The whole service stack is concurrent: acceptor + handler
-    # threads, admission worker, evaluation pool, parallel clients.
+    # threads, admission worker, astar-par workers, parallel
+    # clients.
     JITSCHED_THREADS=4 ./build-tsan/tests/test_service
     # The cluster layer on top of it: router handlers, the health
     # prober, and a backend bouncing while requests route.

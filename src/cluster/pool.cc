@@ -176,8 +176,13 @@ BackendPool::recordResult(std::size_t b, bool ok)
     if (ejections_after != ejections_before) {
         JITSCHED_OBS(
             obs::ClusterMetrics::get().backendEjections.add());
-        warn("cluster: backend ", slot.endpoint.label(),
-             " ejected (down)");
+        // The first ejection and every 100th: a flapping backend
+        // stays visible without flooding the log; the counter keeps
+        // the full count.
+        if (ejections_after == 1 || ejections_after % 100 == 0)
+            warn("cluster: backend ", slot.endpoint.label(),
+                 " ejected (down) — ", ejections_after,
+                 " ejection(s) since start");
     }
 }
 
@@ -244,8 +249,11 @@ BackendPool::probeOnce()
         if (readmissions_after != readmissions_before) {
             JITSCHED_OBS(
                 obs::ClusterMetrics::get().backendReadmissions.add());
-            inform("cluster: backend ", slot.endpoint.label(),
-                   " re-admitted (healthy)");
+            if (readmissions_after == 1 ||
+                readmissions_after % 100 == 0)
+                inform("cluster: backend ", slot.endpoint.label(),
+                       " re-admitted (healthy) — ", readmissions_after,
+                       " re-admission(s) since start");
         }
     }
 }

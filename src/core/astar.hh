@@ -15,6 +15,11 @@
  * an explicit memory account and aborts with OutOfMemory when it
  * exceeds its budget (their Java implementation died at 2 GB once
  * instances had more than 6 unique methods).
+ *
+ * One engine serves both entry points: aStarOptimal() is the
+ * one-worker run of the hash-distributed search in
+ * core/astar_par.cc, and aStarParallel() (core/astar_par.hh) is the
+ * seeded run on any number of workers.
  */
 
 #ifndef JITSCHED_CORE_ASTAR_HH
@@ -30,8 +35,6 @@
 
 namespace jitsched {
 
-class ThreadPool;
-
 /** Knobs of the A* search. */
 struct AStarConfig
 {
@@ -45,37 +48,13 @@ struct AStarConfig
     std::uint64_t maxExpansions = 0;
 
     /**
-     * Pool for fanning out the candidate (child) evaluations of one
-     * expansion; nullptr evaluates them sequentially.  The result is
-     * bit-identical either way: children are generated and pushed in
-     * a fixed order, only their evalPrefix() calls run concurrently.
-     */
-    ThreadPool *pool = nullptr;
-
-    /**
-     * Fan out only when an expansion has at least this many children;
-     * below it the hand-off overhead outweighs the win.
-     */
-    std::size_t minParallelChildren = 16;
-
-    /**
-     * Evaluate children incrementally from the parent's saved
-     * PrefixSimState (core/prefix_sim.hh) instead of replaying the
-     * call sequence from t = 0 per child.  Bit-identical f values and
-     * node ordering either way; `false` keeps the from-scratch
-     * evalPrefix() path alive for differential testing and for the
-     * bench_astar speedup baseline.
-     */
-    bool incrementalEval = true;
-
-    /**
      * Discard a generated node when an exact duplicate state (same
      * per-function last-level signature, resume position, pinned
      * resume clock and compile end) was already generated.  Strictly
      * safety-preserving — duplicates have identical completion-cost
      * sets — and typically collapses the factorial interleavings of
-     * compiles that finish ahead of need.  Requires incrementalEval;
-     * auto-disabled above duplicateMaxFunctions.
+     * compiles that finish ahead of need.  Auto-disabled above
+     * duplicateMaxFunctions.
      */
     bool duplicateDetection = true;
 
@@ -97,8 +76,7 @@ struct AStarConfig
      * schedule itself — but the explored node count can shrink by
      * orders of magnitude.  Off by default in aStarOptimal() so the
      * checked-in deterministic node-count expectations keep meaning
-     * "plain A*"; aStarParallel() and the astar-par service policy
-     * turn it on.
+     * "plain A*"; aStarParallel() always seeds and ignores this bit.
      */
     bool incumbentPruning = false;
 
@@ -127,7 +105,7 @@ enum class AStarStatus
     OutOfMemory, ///< the node store exceeded the memory budget
     ExpansionCap, ///< maxExpansions was hit
     /**
-     * Anytime stop (parallel search only): a budget tripped before
+     * Anytime stop (seeded search only): a budget tripped before
      * optimality was proven.  `schedule`, `makespan` and `gapBound`
      * are valid — the schedule is the best incumbent found, and the
      * true optimum lies within [makespan - gapBound, makespan].
@@ -158,7 +136,10 @@ struct AStarResult
     /** Nodes expanded (popped and branched). */
     std::uint64_t nodesExpanded = 0;
 
-    /** Nodes generated (stored). */
+    /**
+     * Nodes generated (stored).  Closed leaves are priced inline
+     * and never stored, so they do not count here.
+     */
     std::uint64_t nodesGenerated = 0;
 
     /** Generated nodes discarded by the duplicate-state table. */
@@ -194,10 +175,17 @@ struct AStarResult
 
     // ---- Incumbent / anytime fields (see AStarConfig) ----
 
-    /** Generated nodes discarded because f >= the incumbent bound. */
+    /**
+     * Nodes discarded because f >= the incumbent bound: generated
+     * children, closed leaves that do not improve it, and open-list
+     * entries dropped once the incumbent dominates them.
+     */
     std::uint64_t nodesPrunedIncumbent = 0;
 
-    /** Times a closed leaf improved on the incumbent. */
+    /**
+     * Times a closed leaf improved on the incumbent (an unseeded
+     * run's first leaf counts as one).
+     */
     std::uint64_t incumbentImprovements = 0;
 
     /**
@@ -210,7 +198,7 @@ struct AStarResult
     /** Which budget ended an Incumbent run (None otherwise). */
     AStarStop stopCause = AStarStop::None;
 
-    // ---- Parallel-search diagnostics (aStarParallel only) ----
+    // ---- Per-worker diagnostics (one worker for aStarOptimal) ----
 
     /** Nodes expanded by each worker (size == worker count). */
     std::vector<std::uint64_t> workerExpansions;
@@ -224,8 +212,9 @@ struct AStarResult
     /**
      * Incumbent-improvement trail: wall-clock seconds from search
      * start, the improved make-span, and the worker that closed the
-     * improving leaf.  Entry 0 is the IAR seed.  Feeds the trace
-     * timeline (bench_astar_par --trace-out).
+     * improving leaf.  Entry 0 is the IAR seed when the run is
+     * seeded.  Feeds the trace timeline (bench_astar_par
+     * --trace-out).
      */
     struct IncumbentEvent
     {
@@ -238,6 +227,13 @@ struct AStarResult
 
 /**
  * Search for an optimal schedule (1 execution + 1 compilation core).
+ *
+ * The one-worker run of the search engine (core/astar_par.cc) on the
+ * calling thread.  Honors every AStarConfig field except `threads`
+ * and `anytimeDeadlineMs`.  Seeds the IAR incumbent only when
+ * cfg.incumbentPruning is set; a budget trip returns Incumbent for a
+ * seeded run and OutOfMemory / ExpansionCap for an unseeded one.
+ * Every counter is deterministic.
  */
 AStarResult aStarOptimal(const Workload &w,
                          const AStarConfig &cfg = {});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -23,69 +24,98 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /**
- * Arena node of one worker.  Unlike the sequential arena, a parent
- * may live on another worker, so the reference is (worker, index);
- * the root is node (0, 0) and is the only node without an event.
+ * A stored search-tree node; paths share prefixes through `parent`.
+ * Written once by its owning worker and never changed after, so any
+ * worker holding a descendant may read it.  The root is the only
+ * node without a parent (and without an event).  A generated node
+ * travels to its owner's inbox in the same form.
  */
-struct ParNode
+struct Node
 {
-    std::int32_t parentWorker = -1;
-    std::int64_t parentIndex = -1;
+    const Node *parent = nullptr;
     CompileEvent event;
-    Tick f = 0;
+    Tick f = 0; ///< b(v) + e(v)
+    PrefixSimState state;
 };
 
-/** Same ordering contract as the sequential open list. */
+/** Bytes charged per stored node: the node plus container overhead. */
+constexpr std::uint64_t nodeBytes = sizeof(Node) + 16;
+
+/** Priority-queue entry (small, by design: the queue is the hot set). */
 struct OpenEntry
 {
     Tick f;
-    std::int64_t index;
+    std::int64_t index; ///< into the owning worker's node store
 
     bool
     operator>(const OpenEntry &other) const
     {
         if (f != other.f)
             return f > other.f;
+        // Depth-first among equal-f nodes: newer (deeper) nodes pop
+        // first, so complete schedules surface as soon as their
+        // total cost matches the current bound.  Optimality is
+        // unaffected — only the order among equally-promising nodes.
         return index < other.index;
     }
 };
 
 /**
- * A generated node in flight to its owning worker.  It carries its
- * full signature (WITH the generating event applied): the owner
- * cannot walk a cross-worker parent chain while the parent's arena
- * is being appended to, so every expansion reads the signature from
- * its own node instead of rebuilding it from ancestors.
+ * Per-function last compiled level of one node, rebuilt from its
+ * parent chain.  Walking child -> root, the first event seen per
+ * function is its last (highest) level.  Entries are -1 between
+ * uses; the undo list clears them in O(depth), not O(#functions).
  */
-struct NodeMsg
+struct SigScratch
 {
-    PrefixSimState state;
     std::vector<LevelSig> sig;
-    Tick f = 0;
-    CompileEvent event;
-    std::int32_t parentWorker = -1;
-    std::int64_t parentIndex = -1;
-    std::uint32_t uncompiled = 0;
-};
+    std::vector<FuncId> touched;
 
-/** Per-worker private search state; touched only by its owner. */
-struct Worker
-{
-    explicit Worker(std::size_t dedup_functions)
-        : table(dedup_functions)
+    /** Load the signature of @p n; returns its compiled-function count. */
+    std::size_t
+    load(const Node *n)
     {
+        for (; n->parent != nullptr; n = n->parent) {
+            if (sig[n->event.func] < 0) {
+                sig[n->event.func] = n->event.level;
+                touched.push_back(n->event.func);
+            }
+        }
+        return touched.size();
     }
 
-    std::vector<ParNode> arena;
-    std::vector<PrefixSimState> states;
-    std::vector<LevelSig> sigs;            ///< arena.size() * numF
-    std::vector<std::uint32_t> uncompiled; ///< per arena node
+    void
+    clear()
+    {
+        for (const FuncId f : touched)
+            sig[f] = -1;
+        touched.clear();
+    }
+};
+
+/** Per-worker search state; all but the inbox touched by its owner only. */
+struct Worker
+{
+    Worker(std::size_t num_functions, bool dedup)
+        : table(dedup ? num_functions : 0)
+    {
+        scratch.sig.assign(num_functions, LevelSig{-1});
+    }
+
+    std::deque<Node> nodes; ///< stable: descendants point into it
     std::priority_queue<OpenEntry, std::vector<OpenEntry>,
                         std::greater<OpenEntry>>
         open;
     DuplicateTable table;
+    SigScratch scratch;
 
-    std::uint64_t expanded = 0;
+    /**
+     * Any worker pushes, the owner pops.  Kept on cache lines of its
+     * own, away from the counters the owner bumps per child.
+     */
+    alignas(64) MpscQueue<Node> inbox;
+
+    alignas(64) std::uint64_t expanded = 0;
     std::uint64_t generated = 0;
     std::uint64_t prunedDup = 0;
     std::uint64_t prunedInc = 0;
@@ -105,15 +135,14 @@ struct Shared
     const Workload &w;
     const AStarConfig &cfg;
     const PrefixEvaluator evaluator;
-    std::size_t numWorkers;
-    std::size_t numF;
-    bool dedup;
+    std::size_t numWorkers = 1;
+    std::size_t numF = 0;
+    bool dedup = false;
     Tick lb = 0;
-    std::uint64_t nodeBytes = 0;
     Clock::time_point t0;
+    std::int64_t deadlineMs = 0; ///< 0 = none
 
     std::vector<std::unique_ptr<Worker>> workers;
-    std::vector<std::unique_ptr<MpscQueue<NodeMsg>>> inboxes;
 
     /**
      * Nodes generated but not yet fully expanded or pruned.  A sender
@@ -124,13 +153,12 @@ struct Shared
      */
     std::atomic<std::int64_t> live{0};
 
-    /** Best-known complete cost in f units (seeded from IAR). */
-    std::atomic<Tick> incumbentF{0};
+    /** Best-known complete cost in f units (maxTick = none yet). */
+    std::atomic<Tick> incumbentF{maxTick};
 
     /** Improvement bookkeeping, off the hot path. */
     std::mutex incMutex;
-    std::int32_t bestWorker = -1; ///< guarded by incMutex
-    std::int64_t bestIndex = -1;  ///< guarded by incMutex
+    const Node *best = nullptr; ///< guarded by incMutex
     std::uint64_t improvements = 0;
     std::vector<AStarResult::IncumbentEvent> trail;
 
@@ -167,7 +195,7 @@ secondsSince(const Clock::time_point &t0)
 void
 account(Shared &sh, Worker &me, std::uint32_t self)
 {
-    const std::uint64_t arena_mem = me.arena.size() * sh.nodeBytes;
+    const std::uint64_t arena_mem = me.nodes.size() * nodeBytes;
     me.openHighWater = std::max(me.openHighWater, me.open.size());
     const std::uint64_t open_mem =
         me.openHighWater * sizeof(OpenEntry);
@@ -186,58 +214,48 @@ account(Shared &sh, Worker &me, std::uint32_t self)
 }
 
 /**
- * Deliver one generated node into the owner's structures: duplicate
- * and incumbent checks, then store + enqueue.  Runs on the owning
- * worker only.  The caller has already counted the node in sh.live;
- * pruning releases that count here.
+ * Store one generated node on its owning worker unless the incumbent
+ * or the duplicate table rules it out.  @p sig is the node's
+ * signature (its event applied).  The sender has already counted the
+ * node in sh.live; pruning releases that count here.
  */
 void
-receiveNode(Shared &sh, Worker &me, std::uint32_t self,
-            const PrefixSimState &state, const LevelSig *sig,
-            Tick f, CompileEvent event, std::int32_t parent_worker,
-            std::int64_t parent_index, std::uint32_t uncompiled)
+deliver(Shared &sh, Worker &me, std::uint32_t self, const Node &n,
+        const LevelSig *sig)
 {
-    if (f >= sh.incumbentF.load(std::memory_order_relaxed)) {
+    if (n.f >= sh.incumbentF.load(std::memory_order_relaxed)) {
         ++me.prunedInc;
         sh.live.fetch_sub(1, std::memory_order_acq_rel);
         return;
     }
-    if (sh.dedup && me.table.seen(state, sig)) {
+    if (sh.dedup && me.table.seen(n.state, sig)) {
         ++me.prunedDup;
         sh.live.fetch_sub(1, std::memory_order_acq_rel);
         return;
     }
-    const auto idx = static_cast<std::int64_t>(me.arena.size());
-    me.arena.push_back(
-        ParNode{parent_worker, parent_index, event, f});
-    me.states.push_back(state);
-    me.sigs.insert(me.sigs.end(), sig, sig + sh.numF);
-    me.uncompiled.push_back(uncompiled);
-    me.open.push({f, idx});
+    const auto idx = static_cast<std::int64_t>(me.nodes.size());
+    me.nodes.push_back(n);
+    me.open.push({n.f, idx});
     ++me.generated;
     account(sh, me, self);
 }
 
 /** Record a closed leaf that beats the incumbent (raced re-check). */
 void
-tryImprove(Shared &sh, std::uint32_t self, std::int64_t node_index,
+tryImprove(Shared &sh, std::uint32_t self, const Node *complete,
            Tick total)
 {
     std::lock_guard<std::mutex> g(sh.incMutex);
     if (total >= sh.incumbentF.load(std::memory_order_relaxed))
         return;
     sh.incumbentF.store(total, std::memory_order_relaxed);
-    sh.bestWorker = static_cast<std::int32_t>(self);
-    sh.bestIndex = node_index;
+    sh.best = complete;
     ++sh.improvements;
-    sh.trail.push_back({secondsSince(sh.t0), sh.lb + total,
-                        static_cast<std::uint32_t>(self)});
+    sh.trail.push_back({secondsSince(sh.t0), sh.lb + total, self});
 }
 
 void
-expandNode(Shared &sh, Worker &me, std::uint32_t self,
-           std::int64_t idx, std::vector<LevelSig> &sig_scratch,
-           std::vector<LevelSig> &child_sig)
+expand(Shared &sh, Worker &me, std::uint32_t self, const Node &node)
 {
     ++me.expanded;
     const std::uint64_t total_expanded =
@@ -246,73 +264,66 @@ expandNode(Shared &sh, Worker &me, std::uint32_t self,
         total_expanded > sh.cfg.maxExpansions)
         raiseStop(sh, AStarStop::Expansions);
 
-    // Copies: self-delivered children below reallocate the vectors.
-    const PrefixSimState pstate = me.states[idx];
-    const std::uint32_t uncompiled = me.uncompiled[idx];
-    sig_scratch.assign(
-        me.sigs.begin() + idx * static_cast<std::int64_t>(sh.numF),
-        me.sigs.begin() +
-            (idx + 1) * static_cast<std::int64_t>(sh.numF));
+    std::vector<LevelSig> &sig = me.scratch.sig;
+    const std::size_t compiled = me.scratch.load(&node);
 
     // Closing evaluation: leaves are priced inline and never stored
     // — an improvement tightens the global incumbent immediately,
     // which is what makes the search anytime.
-    if (uncompiled == 0) {
+    if (compiled == sh.w.numCalledFunctions()) {
         ++me.evals;
-        const Tick total =
-            sh.evaluator.complete(pstate, sig_scratch.data());
+        const Tick total = sh.evaluator.complete(node.state, sig.data());
         if (total < sh.incumbentF.load(std::memory_order_relaxed))
-            tryImprove(sh, self, idx, total);
+            tryImprove(sh, self, &node, total);
         else
             ++me.prunedInc;
     }
 
+    // Children: append any (function, level) with level strictly
+    // above the function's last compiled level, in a fixed order.
     const Workload &w = sh.w;
     for (std::size_t i = 0; i < sh.numF; ++i) {
         const auto func = static_cast<FuncId>(i);
         if (w.callCount(func) == 0)
             continue;
-        const auto &prof = w.function(func);
-        for (int l = sig_scratch[i] + 1;
-             l < static_cast<int>(prof.numLevels()); ++l) {
+        const LevelSig last = sig[i];
+        for (int l = last + 1;
+             l < static_cast<int>(w.function(func).numLevels()); ++l) {
             const CompileEvent ev{func, static_cast<Level>(l)};
             ++me.evals;
             const PrefixStep step =
-                sh.evaluator.append(pstate, sig_scratch.data(), ev);
+                sh.evaluator.append(node.state, sig.data(), ev);
             if (step.f >=
                 sh.incumbentF.load(std::memory_order_relaxed)) {
                 ++me.prunedInc;
                 continue;
             }
-            child_sig = sig_scratch;
-            child_sig[i] = static_cast<LevelSig>(l);
-            const std::uint32_t child_unc =
-                uncompiled - (sig_scratch[i] < 0 ? 1u : 0u);
-            const std::uint32_t owner = static_cast<std::uint32_t>(
-                DuplicateTable::stateHash(step.state,
-                                          child_sig.data(), sh.numF) %
-                sh.numWorkers);
+            const Node child{&node, ev, step.f, step.state};
+            sig[i] = static_cast<LevelSig>(l);
+            std::uint32_t owner = self;
+            if (sh.numWorkers > 1)
+                owner = static_cast<std::uint32_t>(
+                    DuplicateTable::stateHash(step.state, sig.data(),
+                                              sh.numF) %
+                    sh.numWorkers);
 
             // Count the child live BEFORE delivering it (and before
             // this parent's own decrement) — the termination
             // counter's core invariant.
             sh.live.fetch_add(1, std::memory_order_acq_rel);
             if (owner == self) {
-                receiveNode(sh, me, self, step.state,
-                            child_sig.data(), step.f, ev,
-                            static_cast<std::int32_t>(self), idx,
-                            child_unc);
+                deliver(sh, me, self, child, sig.data());
             } else {
-                sh.inboxes[owner]->push(
-                    NodeMsg{step.state, child_sig, step.f, ev,
-                            static_cast<std::int32_t>(self), idx,
-                            child_unc});
+                MpscQueue<Node> &inbox = sh.workers[owner]->inbox;
+                inbox.push(child);
                 ++me.routed;
                 me.maxInboxDepth = std::max<std::uint64_t>(
-                    me.maxInboxDepth, sh.inboxes[owner]->depth());
+                    me.maxInboxDepth, inbox.depth());
             }
+            sig[i] = last;
         }
     }
+    me.scratch.clear();
 
     // The expanded node is no longer live; its children are.
     sh.live.fetch_sub(1, std::memory_order_acq_rel);
@@ -322,29 +333,23 @@ void
 workerMain(Shared &sh, std::uint32_t self)
 {
     Worker &me = *sh.workers[self];
-    MpscQueue<NodeMsg> &inbox = *sh.inboxes[self];
-    std::vector<LevelSig> sig_scratch(sh.numF);
-    std::vector<LevelSig> child_sig(sh.numF);
-    NodeMsg msg;
+    Node msg;
 
-    const bool deadline_set = sh.cfg.anytimeDeadlineMs > 0;
     const Clock::time_point deadline =
-        sh.t0 +
-        std::chrono::milliseconds(
-            deadline_set ? sh.cfg.anytimeDeadlineMs : 0);
+        sh.t0 + std::chrono::milliseconds(sh.deadlineMs);
 
     for (;;) {
         // Drain the inbox first so the open list always reflects
         // every delivered node before the next best-first pop.
-        while (inbox.pop(msg)) {
-            receiveNode(sh, me, self, msg.state, msg.sig.data(),
-                        msg.f, msg.event, msg.parentWorker,
-                        msg.parentIndex, msg.uncompiled);
+        while (me.inbox.pop(msg)) {
+            me.scratch.load(&msg);
+            deliver(sh, me, self, msg, me.scratch.sig.data());
+            me.scratch.clear();
         }
 
         if (sh.stop.load(std::memory_order_relaxed) != 0)
             return;
-        if (deadline_set && Clock::now() >= deadline) {
+        if (sh.deadlineMs > 0 && Clock::now() >= deadline) {
             raiseStop(sh, AStarStop::Deadline);
             return;
         }
@@ -362,7 +367,7 @@ workerMain(Shared &sh, std::uint32_t self)
         // The whole open list is dominated by the incumbent: the
         // top is the minimum, so every entry has f >= incumbent and
         // none can lead to an improvement.  Drop them all — this is
-        // how a pruned search quiesces.
+        // how a search quiesces once its optimum is in hand.
         const Tick inc =
             sh.incumbentF.load(std::memory_order_relaxed);
         if (me.open.top().f >= inc) {
@@ -376,33 +381,30 @@ workerMain(Shared &sh, std::uint32_t self)
 
         const std::int64_t idx = me.open.top().index;
         me.open.pop();
-        expandNode(sh, me, self, idx, sig_scratch, child_sig);
+        expand(sh, me, self, me.nodes[static_cast<std::size_t>(idx)]);
     }
 }
 
-} // anonymous namespace
-
+/**
+ * The engine behind both entry points.
+ *
+ * @param seeded     start from the IAR incumbent; a budget trip then
+ *                   returns Incumbent instead of a refusal
+ * @param deadline_ms anytime deadline (0 = none)
+ */
 AStarResult
-aStarParallel(const Workload &w, const AStarConfig &cfg)
+search(const Workload &w, const AStarConfig &cfg,
+       std::size_t num_workers, bool seeded, std::int64_t deadline_ms)
 {
     if (w.numCalls() == 0)
-        JITSCHED_FATAL("aStarParallel: empty call sequence");
-
-    std::size_t num_workers = cfg.threads;
-    if (num_workers == 0) {
-        num_workers = std::thread::hardware_concurrency();
-        if (num_workers == 0)
-            num_workers = 1;
-    }
+        JITSCHED_FATAL("A* search: empty call sequence");
 
     Shared sh(w, cfg);
     sh.numWorkers = num_workers;
     sh.numF = w.numFunctions();
     sh.dedup = cfg.duplicateDetection &&
                sh.numF <= cfg.duplicateMaxFunctions;
-    sh.nodeBytes = sizeof(ParNode) + sizeof(PrefixSimState) +
-                   sizeof(std::uint32_t) +
-                   sh.numF * sizeof(LevelSig) + 16;
+    sh.deadlineMs = deadline_ms;
     sh.t0 = Clock::now();
 
     const std::vector<Tick> &best_exec = sh.evaluator.bestExec();
@@ -410,50 +412,46 @@ aStarParallel(const Workload &w, const AStarConfig &cfg)
         sh.lb += best_exec[f];
 
     AStarResult res;
-    res.bytesPerNode = sh.nodeBytes;
+    res.bytesPerNode = nodeBytes;
 
     // Incumbent seed: the IAR schedule priced through the search's
     // own cost model, so f units match exactly.
-    IarBound seed = iarUpperBound(w);
-    const Tick seed_f =
-        evalComplete(w, seed.schedule.events(), best_exec);
-    sh.incumbentF.store(seed_f, std::memory_order_relaxed);
-    sh.trail.push_back({0.0, sh.lb + seed_f, 0});
-    res.evaluations = 1;
+    Schedule seed_schedule;
+    if (seeded) {
+        IarBound seed = iarUpperBound(w);
+        const Tick seed_f =
+            evalComplete(w, seed.schedule.events(), best_exec);
+        seed_schedule = std::move(seed.schedule);
+        sh.incumbentF.store(seed_f, std::memory_order_relaxed);
+        sh.trail.push_back({0.0, sh.lb + seed_f, 0});
+        res.evaluations = 1;
+    }
 
     sh.workers.reserve(num_workers);
-    sh.inboxes.reserve(num_workers);
-    for (std::size_t i = 0; i < num_workers; ++i) {
-        sh.workers.push_back(
-            std::make_unique<Worker>(sh.dedup ? sh.numF : 0));
-        sh.inboxes.push_back(
-            std::make_unique<MpscQueue<NodeMsg>>());
-    }
+    for (std::size_t i = 0; i < num_workers; ++i)
+        sh.workers.push_back(std::make_unique<Worker>(sh.numF, sh.dedup));
     sh.memBytes =
         std::vector<std::atomic<std::uint64_t>>(num_workers);
 
-    // Root (empty prefix) lives on worker 0 at index 0 — the one
-    // node reconstruction recognizes as event-less.
+    // Root (empty prefix, f = 0) on worker 0.
     {
         Worker &w0 = *sh.workers[0];
-        w0.arena.push_back(ParNode{-1, -1, CompileEvent{}, 0});
-        w0.states.push_back(sh.evaluator.rootState());
-        w0.sigs.assign(sh.numF, LevelSig{-1});
-        w0.uncompiled.push_back(
-            static_cast<std::uint32_t>(w.numCalledFunctions()));
+        w0.nodes.push_back(Node{nullptr, CompileEvent{}, 0,
+                                sh.evaluator.rootState()});
         w0.open.push({0, 0});
         w0.generated = 1;
         account(sh, w0, 0);
     }
     sh.live.store(1, std::memory_order_relaxed);
 
+    // Worker 0 runs on the calling thread.
     {
         std::vector<std::thread> threads;
-        threads.reserve(num_workers);
-        for (std::size_t i = 0; i < num_workers; ++i)
-            threads.emplace_back(
-                workerMain, std::ref(sh),
-                static_cast<std::uint32_t>(i));
+        threads.reserve(num_workers - 1);
+        for (std::size_t i = 1; i < num_workers; ++i)
+            threads.emplace_back(workerMain, std::ref(sh),
+                                 static_cast<std::uint32_t>(i));
+        workerMain(sh, 0);
         for (std::thread &t : threads)
             t.join();
     }
@@ -463,52 +461,51 @@ aStarParallel(const Workload &w, const AStarConfig &cfg)
     const Tick incumbent_f =
         sh.incumbentF.load(std::memory_order_relaxed);
     const auto stop_cause =
-        static_cast<AStarStop>(sh.stop.load(
-            std::memory_order_relaxed));
-
-    // Remaining frontier: open lists plus undelivered messages.
-    // Every unexplored complete schedule sits below one of these
-    // nodes (or below an incumbent-pruned node, bounded by the
-    // incumbent itself), so min-alive f bounds the optimum from
-    // below.
-    Tick min_alive = maxTick;
-    for (std::size_t i = 0; i < num_workers; ++i) {
-        Worker &wk = *sh.workers[i];
-        if (!wk.open.empty())
-            min_alive = std::min(min_alive, wk.open.top().f);
-        NodeMsg msg;
-        while (sh.inboxes[i]->pop(msg))
-            min_alive = std::min(min_alive, msg.f);
-    }
-    min_alive = std::min(min_alive, incumbent_f);
+        static_cast<AStarStop>(sh.stop.load(std::memory_order_relaxed));
 
     if (stop_cause == AStarStop::None) {
+        // Quiescence: nothing alive can beat the incumbent, so it is
+        // optimal.  An unseeded search always closes a leaf first.
+        if (incumbent_f == maxTick)
+            JITSCHED_PANIC("A* open list exhausted without a goal");
         res.status = AStarStatus::Optimal;
-        res.gapBound = 0;
-    } else {
-        res.status = AStarStatus::Incumbent;
-        res.gapBound = incumbent_f - min_alive;
-    }
-    res.stopCause = stop_cause;
-    res.makespan = sh.lb + incumbent_f;
-
-    if (sh.bestWorker < 0) {
-        // No leaf beat the seed: the IAR schedule is the answer.
-        res.schedule = std::move(seed.schedule);
-    } else {
-        std::vector<CompileEvent> events;
-        std::int32_t wk = sh.bestWorker;
-        std::int64_t ix = sh.bestIndex;
-        while (!(wk == 0 && ix == 0)) {
-            const ParNode &n =
-                sh.workers[static_cast<std::size_t>(wk)]
-                    ->arena[static_cast<std::size_t>(ix)];
-            events.push_back(n.event);
-            wk = n.parentWorker;
-            ix = n.parentIndex;
+    } else if (seeded) {
+        // Remaining frontier: open lists plus undelivered messages.
+        // Every unexplored complete schedule sits below one of these
+        // nodes (or below an incumbent-pruned node, bounded by the
+        // incumbent itself), so min-alive f bounds the optimum from
+        // below.
+        Tick min_alive = incumbent_f;
+        for (const auto &wk : sh.workers) {
+            if (!wk->open.empty())
+                min_alive = std::min(min_alive, wk->open.top().f);
+            Node msg;
+            while (wk->inbox.pop(msg))
+                min_alive = std::min(min_alive, msg.f);
         }
-        std::reverse(events.begin(), events.end());
-        res.schedule = Schedule(std::move(events));
+        res.status = AStarStatus::Incumbent;
+        res.stopCause = stop_cause;
+        res.gapBound = incumbent_f - min_alive;
+    } else {
+        res.status = stop_cause == AStarStop::Memory
+                         ? AStarStatus::OutOfMemory
+                         : AStarStatus::ExpansionCap;
+    }
+
+    if (res.status == AStarStatus::Optimal ||
+        res.status == AStarStatus::Incumbent) {
+        res.makespan = sh.lb + incumbent_f;
+        if (sh.best == nullptr) {
+            // No leaf beat the seed: the IAR schedule is the answer.
+            res.schedule = std::move(seed_schedule);
+        } else {
+            std::vector<CompileEvent> events;
+            for (const Node *n = sh.best; n->parent != nullptr;
+                 n = n->parent)
+                events.push_back(n->event);
+            std::reverse(events.begin(), events.end());
+            res.schedule = Schedule(std::move(events));
+        }
     }
 
     res.incumbentImprovements = sh.improvements;
@@ -531,32 +528,50 @@ aStarParallel(const Workload &w, const AStarConfig &cfg)
     }
     // Sum of per-worker peaks: a (slight) over-estimate of the true
     // simultaneous high-water mark, consistent with what the budget
-    // check enforces.
+    // check enforces.  Exact with one worker.
     res.peakMemory =
         res.peakArenaBytes + res.peakOpenBytes + res.peakTableBytes;
 
 #ifndef JITSCHED_OBS_DISABLED
     {
         obs::SolverMetrics &m = obs::SolverMetrics::get();
-        m.astarParSearches.add();
-        m.astarParNodesExpanded.add(res.nodesExpanded);
-        m.astarParNodesGenerated.add(res.nodesGenerated);
-        m.astarParNodesPruned.add(res.nodesPruned);
-        m.astarParNodesPrunedIncumbent.add(res.nodesPrunedIncumbent);
-        m.astarParNodesRouted.add(res.nodesRouted);
-        m.astarParIncumbentImprovements.add(
-            res.incumbentImprovements);
-        m.astarParEvaluations.add(res.evaluations);
-        m.astarParPeakMemoryBytes.setMax(
+        m.astarSearches.add();
+        m.astarNodesExpanded.add(res.nodesExpanded);
+        m.astarNodesGenerated.add(res.nodesGenerated);
+        m.astarNodesPruned.add(res.nodesPruned);
+        m.astarNodesPrunedIncumbent.add(res.nodesPrunedIncumbent);
+        m.astarNodesRouted.add(res.nodesRouted);
+        m.astarIncumbentImprovements.add(res.incumbentImprovements);
+        m.astarEvaluations.add(res.evaluations);
+        m.astarPeakMemoryBytes.setMax(
             static_cast<std::int64_t>(res.peakMemory));
-        m.astarParMaxInboxDepth.setMax(
+        m.astarPeakArenaBytes.setMax(
+            static_cast<std::int64_t>(res.peakArenaBytes));
+        m.astarMaxInboxDepth.setMax(
             static_cast<std::int64_t>(res.maxInboxDepth));
-        m.astarParWorkers.set(
-            static_cast<std::int64_t>(num_workers));
+        m.astarWorkers.set(static_cast<std::int64_t>(num_workers));
     }
 #endif
 
     return res;
+}
+
+} // anonymous namespace
+
+AStarResult
+aStarOptimal(const Workload &w, const AStarConfig &cfg)
+{
+    return search(w, cfg, 1, cfg.incumbentPruning, 0);
+}
+
+AStarResult
+aStarParallel(const Workload &w, const AStarConfig &cfg)
+{
+    std::size_t num_workers = cfg.threads;
+    if (num_workers == 0)
+        num_workers =
+            std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    return search(w, cfg, num_workers, true, cfg.anytimeDeadlineMs);
 }
 
 } // namespace jitsched

@@ -1,10 +1,11 @@
 /**
  * @file
  * Shared-memory parallel anytime A* over the schedule-tree of Fig. 4
- * — an HDA*-style (hash-distributed A*) decomposition of
- * core/astar.cc.
+ * — an HDA*-style (hash-distributed A*) decomposition of the search
+ * of core/astar.hh, and the one A* engine in the repository:
+ * aStarOptimal() is its one-worker run.
  *
- * Each of T workers owns a private open list, node arena and
+ * Each of T workers owns a private open list, node store and
  * duplicate table.  A generated child is routed to the worker that
  * owns the hash of its exact duplicate-detection key — the
  * (signature, resume call, pinned resume clock, compile end) tuple of
@@ -12,18 +13,29 @@
  * (exec/mpsc_queue.hh).  Because duplicates share the key, they share
  * the hash, land on the same worker, and are deduplicated by its
  * private table: the distributed search prunes exactly the states the
- * sequential one does, with no shared hash table.
+ * one-worker search does, with no shared hash table.  With one worker
+ * nothing is routed and no routing hash is computed.
+ *
+ * A stored node holds its parent link, its event, f and its
+ * PrefixSimState — no signature: an expansion rebuilds the signature
+ * by walking the parent chain.  Nodes live in stable per-worker
+ * storage and never change once stored, so a worker may walk
+ * ancestors that other workers own; the inbox push/pop that delivered
+ * each node orders those reads after the owners' writes.
  *
  * The search is *anytime*: it seeds an incumbent upper bound from the
  * IAR schedule (core/iar.hh, iarUpperBound) and every worker prunes
  * generated nodes with f >= incumbent; closing a leaf below the bound
- * tightens the global incumbent (atomic).  Run to completion the
- * result cost is bit-identical to aStarOptimal(): pruned nodes cannot
- * beat the retained incumbent, and at quiescence no live node could
- * improve on it, so the incumbent *is* the optimum.  When a budget
- * trips first (wall-clock deadline, memory, expansion cap) the search
- * returns AStarStatus::Incumbent with the best schedule found and an
- * optimality-gap bound instead of failing.
+ * tightens the global incumbent (atomic).  Closed leaves are priced
+ * inline and never stored.  Run to completion the result cost is
+ * exact: pruned nodes cannot beat the retained incumbent, and at
+ * quiescence no live node could improve on it, so the incumbent *is*
+ * the optimum.  When a budget trips first (wall-clock deadline,
+ * memory, expansion cap) the search returns AStarStatus::Incumbent
+ * with the best schedule found and an optimality-gap bound instead of
+ * failing.  An unseeded run (aStarOptimal() without
+ * incumbentPruning) starts from an infinite bound, prunes with the
+ * first leaf it closes, and refuses on a budget trip.
  *
  * Termination detection: a single atomic live-node counter.  Sending
  * a child increments it *before* the expanded parent decrements
@@ -32,6 +44,8 @@
  * observes quiescence.  A worker whose open-list minimum reaches the
  * incumbent drops its whole list (all entries are provably unable to
  * improve), which is what lets pruned searches quiesce early.
+ *
+ * Worker 0 runs on the calling thread; T - 1 threads are started.
  *
  * Determinism: the final cost (and with threads == 1, every counter)
  * is deterministic; with T > 1 the expansion order, node counts and
@@ -50,10 +64,10 @@ namespace jitsched {
  *
  * Honors AStarConfig::{threads, memoryBudget, maxExpansions,
  * anytimeDeadlineMs, duplicateDetection, duplicateMaxFunctions};
- * incumbent pruning is always on (it is what makes the anytime
- * contract possible), and evaluation is always incremental.
- * cfg.pool / cfg.minParallelChildren / cfg.incrementalEval /
- * cfg.incumbentPruning are ignored.
+ * the IAR incumbent seed is always on (it is what makes the anytime
+ * contract possible), so cfg.incumbentPruning is ignored.  With
+ * threads == 1 every counter equals aStarOptimal()'s with
+ * incumbentPruning set.
  *
  * @returns status Optimal with the proven-optimal schedule, or
  *          Incumbent with the best-so-far schedule, its make-span and

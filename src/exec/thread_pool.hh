@@ -11,8 +11,9 @@
  * only when.
  *
  * The pool is the execution substrate of the batch-evaluation engine
- * (exec/batch_eval.hh) and of the A* child-evaluation fan-out
- * (core/astar.cc); it deliberately knows nothing about either.
+ * (exec/batch_eval.hh) and knows nothing about it.  The daemon does
+ * not start it: its solvers run on the admission worker, and
+ * astar-par starts its own search workers.
  */
 
 #ifndef JITSCHED_EXEC_THREAD_POOL_HH

@@ -29,20 +29,14 @@ SolverMetrics::get()
         r.counter("solver.astar.nodes_expanded"),
         r.counter("solver.astar.nodes_generated"),
         r.counter("solver.astar.nodes_pruned"),
+        r.counter("solver.astar.nodes_pruned_incumbent"),
+        r.counter("solver.astar.nodes_routed"),
+        r.counter("solver.astar.incumbent_improvements"),
         r.counter("solver.astar.evaluations"),
         r.gauge("solver.astar.peak_memory_bytes"),
         r.gauge("solver.astar.peak_arena_bytes"),
-        r.counter("solver.astar_par.searches"),
-        r.counter("solver.astar_par.nodes_expanded"),
-        r.counter("solver.astar_par.nodes_generated"),
-        r.counter("solver.astar_par.nodes_pruned"),
-        r.counter("solver.astar_par.nodes_pruned_incumbent"),
-        r.counter("solver.astar_par.nodes_routed"),
-        r.counter("solver.astar_par.incumbent_improvements"),
-        r.counter("solver.astar_par.evaluations"),
-        r.gauge("solver.astar_par.peak_memory_bytes"),
-        r.gauge("solver.astar_par.max_inbox_depth"),
-        r.gauge("solver.astar_par.workers"),
+        r.gauge("solver.astar.max_inbox_depth"),
+        r.gauge("solver.astar.workers"),
         r.counter("solver.iar.runs"),
         r.counter("solver.iar.slack_upgrades"),
         r.counter("solver.iar.gap_appends"),

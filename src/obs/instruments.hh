@@ -46,31 +46,22 @@ struct ExecMetrics
 /** src/core — the exact solvers and IAR. */
 struct SolverMetrics
 {
+    // A* (core/astar_par.cc), both entry points.  One bulk update
+    // per search from the joined result — workers touch no globals.
     Counter &astarSearches;       ///< solver.astar.searches
     Counter &astarNodesExpanded;  ///< solver.astar.nodes_expanded
     Counter &astarNodesGenerated; ///< solver.astar.nodes_generated
     Counter &astarNodesPruned;    ///< solver.astar.nodes_pruned
+    /** solver.astar.nodes_pruned_incumbent */
+    Counter &astarNodesPrunedIncumbent;
+    Counter &astarNodesRouted;    ///< solver.astar.nodes_routed
+    /** solver.astar.incumbent_improvements */
+    Counter &astarIncumbentImprovements;
     Counter &astarEvaluations;    ///< solver.astar.evaluations
     Gauge &astarPeakMemoryBytes;  ///< solver.astar.peak_memory_bytes
     Gauge &astarPeakArenaBytes;   ///< solver.astar.peak_arena_bytes
-
-    // Parallel search (core/astar_par.cc).  One bulk update per
-    // search from the joined result — workers touch no globals.
-    Counter &astarParSearches;  ///< solver.astar_par.searches
-    Counter &astarParNodesExpanded; ///< solver.astar_par.nodes_expanded
-    Counter &astarParNodesGenerated; ///< solver.astar_par.nodes_generated
-    Counter &astarParNodesPruned; ///< solver.astar_par.nodes_pruned
-    /** solver.astar_par.nodes_pruned_incumbent */
-    Counter &astarParNodesPrunedIncumbent;
-    Counter &astarParNodesRouted; ///< solver.astar_par.nodes_routed
-    /** solver.astar_par.incumbent_improvements */
-    Counter &astarParIncumbentImprovements;
-    Counter &astarParEvaluations; ///< solver.astar_par.evaluations
-    /** solver.astar_par.peak_memory_bytes */
-    Gauge &astarParPeakMemoryBytes;
-    /** solver.astar_par.max_inbox_depth */
-    Gauge &astarParMaxInboxDepth;
-    Gauge &astarParWorkers; ///< solver.astar_par.workers (last run)
+    Gauge &astarMaxInboxDepth;    ///< solver.astar.max_inbox_depth
+    Gauge &astarWorkers;          ///< solver.astar.workers (last run)
 
     Counter &iarRuns;             ///< solver.iar.runs
     Counter &iarSlackUpgrades;    ///< solver.iar.slack_upgrades

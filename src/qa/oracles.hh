@@ -20,10 +20,12 @@
  *   lower bound         lowerBoundAllLevels <= every make-span
  *                       (Sec. 5.2: the execution thread must at
  *                       least run every call at its fastest level)
- *   exactness           bruteForce == A* (incremental) == A*
- *                       (from-scratch) on small instances — guards
- *                       the prefix-resume and duplicate-state
- *                       pruning shortcuts in core/astar.cc
+ *   exactness           bruteForce == A* == A* without duplicate
+ *                       pruning == A* at 1, 2 and 8 workers on
+ *                       small instances — guards the prefix-resume
+ *                       walk, duplicate-state pruning and the
+ *                       hash-distributed search in
+ *                       core/astar_par.cc
  *   approximation order optimal <= IAR <= base-level, and
  *                       optionally IAR <= opt-only on the shapes
  *                       where the paper's Formula-2 classification
@@ -78,7 +80,7 @@ struct OracleConfig
     /** Node budget for the exhaustive search; incomplete => skip. */
     std::uint64_t bruteMaxNodes = 2'000'000;
 
-    /** Expansion cap for both A* runs; cap hit => skip. */
+    /** Expansion cap for every A* run; cap hit => skip. */
     std::uint64_t astarMaxExpansions = 200'000;
 
     /** A* node-store budget in bytes; OOM => skip. */
@@ -86,7 +88,7 @@ struct OracleConfig
 
     /**
      * Also run the parallel search (core/astar_par.cc) at 1, 2 and
-     * 8 workers and require its cost to match the sequential A* and
+     * 8 workers and require its cost to match the one-worker A* and
      * brute force bit for bit — the determinism contract of the
      * hash-distributed decomposition.  Runs only when the exact
      * oracles run (same function-count and budget guards).
@@ -117,7 +119,7 @@ struct OracleConfig
      * Deliberately shift the parallel search's reported make-span by
      * one tick before the differential comparison.  The astar-par
      * counterpart of invertLowerBound: a healthy stack must flag the
-     * perturbed cost against both the sequential A* and the
+     * perturbed cost against both the one-worker A* and the
      * simulator, proving the parallel differential has teeth.  Never
      * set outside harness self-checks.
      */

@@ -146,9 +146,9 @@ AdmissionQueue::stop()
     if (worker_.joinable())
         worker_.join();
     for (Pending &p : orphans)
-        p.promise.set_value(makeErrorResponse(
-            p.req.id, errcode::unavailable,
-            "service stopped before the request was served"));
+        answer(p, makeErrorResponse(
+                      p.req.id, errcode::unavailable,
+                      "service stopped before the request was served"));
 }
 
 void

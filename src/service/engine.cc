@@ -40,7 +40,7 @@ ServiceEngine::serve(const ServiceRequest &req)
     {
         obs::ScopedSpan span(req.traceId, "service.solve");
         span.tag("policy", req.policy);
-        outcome = policy->run(req.workload, req.options, pool_);
+        outcome = policy->run(req.workload, req.options);
     }
 
     const auto t1 = std::chrono::steady_clock::now();

@@ -5,16 +5,15 @@
  * The engine is the library-call form of the service — the daemon's
  * admission worker calls it, the CLI can call it in-process, and the
  * loopback tests compare daemon responses byte-for-byte against it.
- * It keeps no memo: every serve() runs the policy, and the daemon's
- * result cache (service/result_cache.hh) answers repeats before they
- * reach the engine.  The one shared resource is the thread pool A*
- * fans its child evaluations out on.
+ * It keeps no memo and no executor: every serve() runs the policy on
+ * the calling thread, and the daemon's result cache
+ * (service/result_cache.hh) answers repeats before they reach the
+ * engine.
  */
 
 #ifndef JITSCHED_SERVICE_ENGINE_HH
 #define JITSCHED_SERVICE_ENGINE_HH
 
-#include "exec/thread_pool.hh"
 #include "service/policy.hh"
 #include "service/protocol.hh"
 
@@ -23,16 +22,10 @@ namespace jitsched {
 class ServiceEngine
 {
   public:
-    /**
-     * @param registry policy table; must outlive the engine
-     * @param pool executor for A*'s child fan-out; nullptr uses
-     *        ThreadPool::global()
-     */
+    /** @param registry policy table; must outlive the engine */
     explicit ServiceEngine(
-        const PolicyRegistry &registry = PolicyRegistry::builtin(),
-        ThreadPool *pool = nullptr)
-        : registry_(registry),
-          pool_(pool != nullptr ? *pool : ThreadPool::global())
+        const PolicyRegistry &registry = PolicyRegistry::builtin())
+        : registry_(registry)
     {
     }
 
@@ -51,7 +44,6 @@ class ServiceEngine
 
   private:
     const PolicyRegistry &registry_;
-    ThreadPool &pool_;
 };
 
 } // namespace jitsched

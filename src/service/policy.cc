@@ -69,8 +69,7 @@ class IarPolicy final : public SchedulerPolicy
     }
 
     PolicyOutcome
-    run(const Workload &w, const ServiceOptions &opts,
-        ThreadPool &) const override
+    run(const Workload &w, const ServiceOptions &opts) const override
     {
         return staticOutcome(w, opts, [&](const auto &cands) {
             return iarSchedule(w, cands).schedule;
@@ -90,8 +89,7 @@ class BaseOnlyPolicy final : public SchedulerPolicy
     }
 
     PolicyOutcome
-    run(const Workload &w, const ServiceOptions &opts,
-        ThreadPool &) const override
+    run(const Workload &w, const ServiceOptions &opts) const override
     {
         return staticOutcome(w, opts, [&](const auto &cands) {
             return baseLevelSchedule(w, cands);
@@ -111,8 +109,7 @@ class OptOnlyPolicy final : public SchedulerPolicy
     }
 
     PolicyOutcome
-    run(const Workload &w, const ServiceOptions &opts,
-        ThreadPool &) const override
+    run(const Workload &w, const ServiceOptions &opts) const override
     {
         return staticOutcome(w, opts, [&](const auto &cands) {
             return optimizingLevelSchedule(w, cands);
@@ -131,8 +128,7 @@ class LowerBoundPolicy final : public SchedulerPolicy
     }
 
     PolicyOutcome
-    run(const Workload &w, const ServiceOptions &opts,
-        ThreadPool &) const override
+    run(const Workload &w, const ServiceOptions &opts) const override
     {
         PolicyOutcome out;
         out.lowerBound = lowerBoundCandidates(
@@ -153,13 +149,11 @@ class AStarPolicy final : public SchedulerPolicy
     }
 
     PolicyOutcome
-    run(const Workload &w, const ServiceOptions &opts,
-        ThreadPool &pool) const override
+    run(const Workload &w, const ServiceOptions &opts) const override
     {
         AStarConfig cfg;
         cfg.memoryBudget = opts.astarMemoryMb << 20;
         cfg.maxExpansions = opts.astarMaxExpansions;
-        cfg.pool = &pool;
         const AStarResult res = aStarOptimal(w, cfg);
 
         PolicyOutcome out;
@@ -196,8 +190,7 @@ class AStarParPolicy final : public SchedulerPolicy
     }
 
     PolicyOutcome
-    run(const Workload &w, const ServiceOptions &opts,
-        ThreadPool &) const override
+    run(const Workload &w, const ServiceOptions &opts) const override
     {
         AStarConfig cfg;
         cfg.memoryBudget = opts.astarMemoryMb << 20;
@@ -242,8 +235,7 @@ class JikesPolicy final : public SchedulerPolicy
     }
 
     PolicyOutcome
-    run(const Workload &w, const ServiceOptions &opts,
-        ThreadPool &) const override
+    run(const Workload &w, const ServiceOptions &opts) const override
     {
         const CostBenefitConfig mcfg = modelConfig(opts);
         AdaptiveConfig acfg;
@@ -275,8 +267,7 @@ class V8SchemePolicy final : public SchedulerPolicy
     }
 
     PolicyOutcome
-    run(const Workload &w, const ServiceOptions &opts,
-        ThreadPool &) const override
+    run(const Workload &w, const ServiceOptions &opts) const override
     {
         // The paper applies V8's scheme with the JIT restricted to
         // the two lowest levels; the bound is computed on the same

@@ -42,8 +42,6 @@
 
 namespace jitsched {
 
-class ThreadPool;
-
 /** Per-request solver options, carried on the wire as `option` lines. */
 struct ServiceOptions
 {
@@ -134,15 +132,13 @@ class SchedulerPolicy
     virtual const char *describe() const = 0;
 
     /**
-     * Run the policy.
+     * Run the policy on the calling thread (astar-par starts its own
+     * search workers).
      * @param w the workload (validated by the protocol layer)
      * @param opts per-request options
-     * @param pool executor for A*'s child fan-out; the other
-     *        policies run on the calling thread
      */
     virtual PolicyOutcome run(const Workload &w,
-                              const ServiceOptions &opts,
-                              ThreadPool &pool) const = 0;
+                              const ServiceOptions &opts) const = 0;
 };
 
 /**

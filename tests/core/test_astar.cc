@@ -41,9 +41,9 @@ TEST(AStar, ResultMatchesSimulator)
 /**
  * A* must agree with exhaustive search on random tiny instances.
  * The shared exactness oracle (qa/oracles.hh) checks brute force
- * against *both* A* variants — incremental and from-scratch — plus
- * schedule validity and simulator agreement, so this sweep guards
- * the same invariant the fuzzer does.
+ * against A* with and without duplicate pruning and at 1, 2 and 8
+ * workers, plus schedule validity and simulator agreement, so this
+ * sweep guards the same invariant the fuzzer does.
  */
 class AStarVsBruteTest
     : public ::testing::TestWithParam<std::uint64_t>

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the hash-distributed parallel anytime A*
- * (core/astar_par.hh) and for the sequential search's IAR incumbent
+ * (core/astar_par.hh) and for the one-worker search's IAR incumbent
  * pruning.  Carries the `core_par` ctest label — the thread-heavy
  * suite the TSan job runs.
  */
@@ -97,6 +97,32 @@ TEST(AStarPar, OneWorkerIsFullyDeterministic)
     EXPECT_EQ(a.nodesPruned, b.nodesPruned);
     EXPECT_EQ(a.nodesPrunedIncumbent, b.nodesPrunedIncumbent);
     EXPECT_EQ(a.evaluations, b.evaluations);
+}
+
+TEST(AStarPar, OneWorkerIsSeededAStarOptimal)
+{
+    // One engine: aStarParallel with one worker and aStarOptimal with
+    // the IAR seed are the same search, counter for counter.
+    for (const std::uint64_t seed : {3u, 5u, 9u}) {
+        SCOPED_TRACE(seed);
+        const Workload w = synthetic(5, 40, 2, seed);
+        AStarConfig pcfg;
+        pcfg.threads = 1;
+        const AStarResult par = aStarParallel(w, pcfg);
+        AStarConfig scfg;
+        scfg.incumbentPruning = true;
+        const AStarResult seq = aStarOptimal(w, scfg);
+        ASSERT_EQ(par.status, AStarStatus::Optimal);
+        ASSERT_EQ(seq.status, AStarStatus::Optimal);
+        EXPECT_EQ(par.makespan, seq.makespan);
+        EXPECT_EQ(par.schedule.events(), seq.schedule.events());
+        EXPECT_EQ(par.nodesExpanded, seq.nodesExpanded);
+        EXPECT_EQ(par.nodesGenerated, seq.nodesGenerated);
+        EXPECT_EQ(par.nodesPruned, seq.nodesPruned);
+        EXPECT_EQ(par.nodesPrunedIncumbent, seq.nodesPrunedIncumbent);
+        EXPECT_EQ(par.evaluations, seq.evaluations);
+        EXPECT_EQ(par.peakMemory, seq.peakMemory);
+    }
 }
 
 TEST(AStarPar, IncumbentTrailStartsAtTheSeedAndTightens)

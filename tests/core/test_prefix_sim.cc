@@ -143,32 +143,6 @@ TEST(PrefixSim, StateIsMonotoneAlongPaths)
     }
 }
 
-TEST(AStarIncremental, BitIdenticalToFromScratch)
-{
-    // With duplicate detection off, the incremental engine must
-    // reproduce the from-scratch search exactly: same optimum, same
-    // node counts, same expansion total.
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        const Workload w = randomWorkload(seed, 4, 25, 2);
-
-        AStarConfig inc;
-        inc.duplicateDetection = false;
-        const AStarResult a = aStarOptimal(w, inc);
-
-        AStarConfig scratch;
-        scratch.incrementalEval = false;
-        const AStarResult b = aStarOptimal(w, scratch);
-
-        ASSERT_EQ(a.status, AStarStatus::Optimal) << "seed " << seed;
-        ASSERT_EQ(b.status, AStarStatus::Optimal) << "seed " << seed;
-        EXPECT_EQ(a.makespan, b.makespan) << "seed " << seed;
-        EXPECT_EQ(a.nodesExpanded, b.nodesExpanded) << "seed " << seed;
-        EXPECT_EQ(a.nodesGenerated, b.nodesGenerated)
-            << "seed " << seed;
-        EXPECT_EQ(a.schedule, b.schedule) << "seed " << seed;
-    }
-}
-
 TEST(AStarPruning, SameOptimumAsUnprunedAndBruteForce)
 {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {

@@ -6,9 +6,11 @@
  * DEADLINE_EXCEEDED, and shutdown answers everything still pending.
  */
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -97,8 +99,7 @@ class RecordingPolicy final : public SchedulerPolicy
     const char *describe() const override { return "run-order probe"; }
 
     PolicyOutcome
-    run(const Workload &w, const ServiceOptions &,
-        ThreadPool &) const override
+    run(const Workload &w, const ServiceOptions &) const override
     {
         if (w.name() == "gate")
             gate_.wait();
@@ -150,6 +151,44 @@ TEST(AdmissionQueue, ServesInArrivalOrder)
     const std::vector<std::string> want = {"a", "gate", "b", "c",
                                            "a", "d",    "a", "e"};
     EXPECT_EQ(order, want);
+}
+
+TEST(AdmissionQueue, StopKeepsTheTraceIdOfOrphans)
+{
+    // A request still queued when stop() runs is answered
+    // UNAVAILABLE like any other answer: under its own trace id, and
+    // with the time it spent queued.
+    std::promise<void> open;
+    std::vector<std::string> order;
+    PolicyRegistry registry;
+    registry.registerPolicy(std::make_unique<RecordingPolicy>(
+        open.get_future().share(), &order));
+    ServiceEngine engine(registry);
+    AdmissionQueue queue(engine);
+
+    auto gated =
+        queue.submit(makeRequest(1, "record", namedWorkload("gate")));
+    ServiceRequest req = makeRequest(2, "record", namedWorkload("b"));
+    req.traceId = 0xfeedbeef;
+    auto orphan = queue.submit(std::move(req));
+
+    // stop() takes the backlog at once, then waits for the gated run.
+    // Once it has, a new submit is refused on the spot.
+    std::thread stopper([&] { queue.stop(); });
+    while (queue.submit(makeRequest(3, "record", namedWorkload("probe")))
+               .wait_for(std::chrono::seconds(0)) !=
+           std::future_status::ready)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    open.set_value();
+    stopper.join();
+    gated.get();
+
+    const ServiceResponse resp = orphan.get();
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.code, errcode::unavailable);
+    EXPECT_EQ(resp.id, 2u);
+    EXPECT_EQ(resp.stats.traceId, 0xfeedbeefu);
+    EXPECT_GT(resp.stats.queueNs, 0);
 }
 
 TEST(AdmissionQueue, ZeroDepthQueueShedsEverything)

@@ -3,14 +3,15 @@
  * Policy-registry tests: the eight built-in policies resolve by name
  * and produce sane outcomes on the paper's worked example — schedules
  * whose make-spans respect the lower bound, an A* that is at least as
- * good as IAR, and explicit refusals when A*'s budget is tiny.
+ * good as IAR, and explicit refusals, with their exact text, when
+ * A*'s expansion or memory budget is tiny.
  */
 
 #include <gtest/gtest.h>
 
-#include "exec/thread_pool.hh"
 #include "service/policy.hh"
 #include "trace/paper_examples.hh"
+#include "trace/synthetic.hh"
 
 namespace jitsched {
 namespace {
@@ -25,10 +26,8 @@ class PolicyTest : public ::testing::Test
         const SchedulerPolicy *p =
             PolicyRegistry::builtin().find(name);
         EXPECT_NE(p, nullptr) << name;
-        return p->run(w, opts, pool_);
+        return p->run(w, opts);
     }
-
-    ThreadPool pool_{2};
 };
 
 TEST_F(PolicyTest, BuiltinRegistryHoldsTheEightPolicies)
@@ -89,7 +88,28 @@ TEST_F(PolicyTest, AStarRefusesExplicitlyWhenBudgetIsTiny)
     const PolicyOutcome out =
         run("astar", figure2Workload(), opts);
     EXPECT_FALSE(out.ok);
-    EXPECT_FALSE(out.error.empty());
+    EXPECT_EQ(out.error, "A* gave up without an optimal schedule "
+                         "(expansion cap hit after 2 expansions)");
+}
+
+TEST_F(PolicyTest, AStarRefusesExplicitlyWhenMemoryIsTiny)
+{
+    // 3000 functions at four levels: the root alone has 12000
+    // children, more than a 1 MiB node store holds, so the first
+    // expansion trips the budget.
+    SyntheticConfig cfg;
+    cfg.numFunctions = 3000;
+    cfg.numCalls = 6000;
+    cfg.numLevels = 4;
+    cfg.seed = 1;
+    ServiceOptions opts;
+    opts.astarMemoryMb = 1;
+    const PolicyOutcome out =
+        run("astar", generateSynthetic(cfg), opts);
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.error,
+              "A* gave up without an optimal schedule (node store "
+              "exceeded the memory budget after 1 expansions)");
 }
 
 TEST_F(PolicyTest, AStarParMatchesAStarAtEveryWorkerCount)
