@@ -78,6 +78,8 @@ statusName(AStarStatus s)
         return "out-of-memory";
     case AStarStatus::ExpansionCap:
         return "expansion-cap";
+    case AStarStatus::Deadline:
+        return "deadline";
     }
     return "?";
 }

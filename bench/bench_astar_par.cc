@@ -80,6 +80,8 @@ statusName(AStarStatus s)
         return "out-of-memory";
     case AStarStatus::ExpansionCap:
         return "expansion-cap";
+    case AStarStatus::Deadline:
+        return "deadline";
     }
     return "?";
 }

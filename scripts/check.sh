@@ -20,7 +20,12 @@
 #                              # against bench/expectations/ — catches
 #                              # unintended changes to A* expansion
 #                              # order, pruning, or evaluation totals
-#                              # (one-worker runs of the one engine)
+#                              # (one-worker runs of the one engine) —
+#                              # and bench_table2 --smoke, whose IAR
+#                              # make-spans, lower bounds, counters and
+#                              # schedule digests on the nine Table 1
+#                              # configs must match
+#                              # bench/expectations/iar_smoke.txt
 #   scripts/check.sh --par-smoke
 #                              # also run bench_astar_par --smoke and
 #                              # diff its deterministic counters
@@ -135,6 +140,17 @@ if [ "$run_bench_smoke" -eq 1 ]; then
         exit 1
     fi
     echo "bench smoke: counters match"
+    echo "== Bench smoke (IAR schedules and counters) =="
+    ./build/bench/bench_table2 --smoke > build/iar_smoke.out
+    if ! diff -u bench/expectations/iar_smoke.txt build/iar_smoke.out; then
+        echo "bench smoke: IAR output diverged from" \
+             "bench/expectations/iar_smoke.txt" >&2
+        echo "(if the change is intentional, regenerate with:" \
+             "./build/bench/bench_table2 --smoke >" \
+             "bench/expectations/iar_smoke.txt)" >&2
+        exit 1
+    fi
+    echo "bench smoke: IAR output matches"
 fi
 
 if [ "$run_par_smoke" -eq 1 ]; then

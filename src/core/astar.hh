@@ -88,12 +88,12 @@ struct AStarConfig
     std::size_t threads = 1;
 
     /**
-     * Anytime deadline for aStarParallel(), in wall-clock
-     * milliseconds; 0 = none.  When the deadline (or the memory
-     * budget, or the expansion cap) trips, the parallel search
-     * returns the best incumbent schedule found so far plus an
-     * optimality-gap bound (AStarStatus::Incumbent) instead of
-     * returning empty-handed.  Ignored by aStarOptimal().
+     * Anytime deadline, in wall-clock milliseconds; 0 = none.  When
+     * the deadline (or the memory budget, or the expansion cap)
+     * trips, a seeded search returns the best incumbent schedule
+     * found so far plus an optimality-gap bound
+     * (AStarStatus::Incumbent) instead of returning empty-handed; an
+     * unseeded one stops with AStarStatus::Deadline.
      */
     std::int64_t anytimeDeadlineMs = 0;
 };
@@ -104,6 +104,7 @@ enum class AStarStatus
     Optimal,     ///< a provably optimal schedule was found
     OutOfMemory, ///< the node store exceeded the memory budget
     ExpansionCap, ///< maxExpansions was hit
+    Deadline,     ///< anytimeDeadlineMs elapsed (unseeded search)
     /**
      * Anytime stop (seeded search only): a budget tripped before
      * optimality was proven.  `schedule`, `makespan` and `gapBound`
@@ -229,11 +230,11 @@ struct AStarResult
  * Search for an optimal schedule (1 execution + 1 compilation core).
  *
  * The one-worker run of the search engine (core/astar_par.cc) on the
- * calling thread.  Honors every AStarConfig field except `threads`
- * and `anytimeDeadlineMs`.  Seeds the IAR incumbent only when
- * cfg.incumbentPruning is set; a budget trip returns Incumbent for a
- * seeded run and OutOfMemory / ExpansionCap for an unseeded one.
- * Every counter is deterministic.
+ * calling thread.  Honors every AStarConfig field except `threads`.
+ * Seeds the IAR incumbent only when cfg.incumbentPruning is set; a
+ * budget trip returns Incumbent for a seeded run and OutOfMemory /
+ * ExpansionCap / Deadline for an unseeded one.  Every counter is
+ * deterministic unless a deadline stops the search.
  */
 AStarResult aStarOptimal(const Workload &w,
                          const AStarConfig &cfg = {});

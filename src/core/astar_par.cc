@@ -486,10 +486,12 @@ search(const Workload &w, const AStarConfig &cfg,
         res.status = AStarStatus::Incumbent;
         res.stopCause = stop_cause;
         res.gapBound = incumbent_f - min_alive;
+    } else if (stop_cause == AStarStop::Memory) {
+        res.status = AStarStatus::OutOfMemory;
+    } else if (stop_cause == AStarStop::Deadline) {
+        res.status = AStarStatus::Deadline;
     } else {
-        res.status = stop_cause == AStarStop::Memory
-                         ? AStarStatus::OutOfMemory
-                         : AStarStatus::ExpansionCap;
+        res.status = AStarStatus::ExpansionCap;
     }
 
     if (res.status == AStarStatus::Optimal ||
@@ -561,7 +563,8 @@ search(const Workload &w, const AStarConfig &cfg,
 AStarResult
 aStarOptimal(const Workload &w, const AStarConfig &cfg)
 {
-    return search(w, cfg, 1, cfg.incumbentPruning, 0);
+    return search(w, cfg, 1, cfg.incumbentPruning,
+                  cfg.anytimeDeadlineMs);
 }
 
 AStarResult

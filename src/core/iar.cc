@@ -1,8 +1,7 @@
 #include "core/iar.hh"
 
 #include <algorithm>
-#include <limits>
-#include <memory>
+#include <optional>
 
 #include "obs/instruments.hh"
 #include "sim/makespan.hh"
@@ -39,67 +38,6 @@ gatherCosts(const Workload &w, const std::vector<CandidatePair> &cands)
     return out;
 }
 
-/**
- * Observer collecting the per-function timeline facts the IAR steps
- * need: first-call start times, and call counts before / at-or-after
- * the end of the compile sequence.  The simulator reports every
- * compilation before the first call, so the threshold (the compile
- * end) can be frozen lazily at the first onCall — one simulation
- * pass suffices.
- */
-class TimelineObserver : public SimObserver
-{
-  public:
-    TimelineObserver(std::size_t num_funcs, std::size_t num_events)
-    {
-        first_call_start.assign(num_funcs, maxTick);
-        calls_before.assign(num_funcs, 0);
-        calls_after.assign(num_funcs, 0);
-        event_completion.assign(num_events, 0);
-    }
-
-    void
-    onCompiled(std::size_t event_index, const CompileEvent &,
-               Tick completion) override
-    {
-        event_completion[event_index] = completion;
-        threshold_ = std::max(threshold_, completion);
-    }
-
-    void
-    onCall(std::size_t, FuncId f, Tick start, Tick, Level) override
-    {
-        if (first_call_start[f] == maxTick)
-            first_call_start[f] = start;
-        if (start < threshold_)
-            ++calls_before[f];
-        else
-            ++calls_after[f];
-    }
-
-    std::vector<Tick> first_call_start;
-    std::vector<std::uint64_t> calls_before;
-    std::vector<std::uint64_t> calls_after;
-    std::vector<Tick> event_completion;
-
-  private:
-    Tick threshold_ = 0;
-};
-
-/** Run the simulator once, collecting the IAR timeline facts. */
-SimResult
-timeSchedule(const Workload &w, const Schedule &s,
-             TimelineObserver *&observer_out,
-             std::vector<std::unique_ptr<TimelineObserver>> &storage)
-{
-    storage.push_back(std::make_unique<TimelineObserver>(
-        w.numFunctions(), s.size()));
-    TimelineObserver &obs = *storage.back();
-    const SimResult res = simulate(w, s, SimOptions{}, obs);
-    observer_out = &obs;
-    return res;
-}
-
 } // anonymous namespace
 
 IarResult
@@ -113,7 +51,6 @@ iarSchedule(const Workload &w, const std::vector<CandidatePair> &cands,
 
     IarResult result;
     const std::vector<FuncCosts> costs = gatherCosts(w, cands);
-    std::vector<std::unique_ptr<TimelineObserver>> observers;
 
     // ---------------------------------------------------------------
     // Step 1 (init): low-level compiles in first-appearance order.
@@ -128,8 +65,8 @@ iarSchedule(const Workload &w, const std::vector<CandidatePair> &cands,
     // guard, so the refined result is checked against this baseline
     // at the end.
     const Schedule init_seq = cseq;
-    TimelineObserver *t0 = nullptr;
-    const SimResult init_res = timeSchedule(w, cseq, t0, observers);
+    SimFacts t0;
+    const SimResult init_res = simulate(w, cseq, SimOptions{}, t0);
 
     // ---------------------------------------------------------------
     // Step 2 (append & replace): classify by Formulas 1 and 2.
@@ -154,7 +91,8 @@ iarSchedule(const Workload &w, const std::vector<CandidatePair> &cands,
         // Formula 2: a costly recompile whose early benefit is small
         // goes to the back (Append); otherwise compile high up front
         // (Replace).  n1 = calls during the initial compile stage.
-        const double n1 = static_cast<double>(t0->calls_before[f]);
+        const double n1 =
+            static_cast<double>(t0.callsBeforeCompileEnd[f]);
         const double lhs = static_cast<double>(fc.ch - fc.cl);
         const double rhs =
             cfg.k * n1 * static_cast<double>(fc.el - fc.eh);
@@ -196,10 +134,14 @@ iarSchedule(const Workload &w, const std::vector<CandidatePair> &cands,
     // Step 3 (fill slack through replacement): upgrade initial
     // compiles where the compile thread is ahead of the execution.
     // ---------------------------------------------------------------
+    // The simulation of `cseq` as it stands, with its facts, when one
+    // is at hand; steps 3 and 4 hand it on instead of re-timing.
+    std::optional<SimResult> cseq_sim;
+    SimFacts cseq_facts;
     if (cfg.fillSlack) {
-        SimResult prev;
-        TimelineObserver *tl = nullptr;
-        prev = timeSchedule(w, cseq, tl, observers);
+        SimFacts tl;
+        tl.wantFirstCallStarts = true;
+        SimResult prev = simulate(w, cseq, SimOptions{}, tl);
 
         for (std::size_t round = 0; round < cfg.maxSlackRounds;
              ++round) {
@@ -209,10 +151,10 @@ iarSchedule(const Workload &w, const std::vector<CandidatePair> &cands,
             std::vector<Tick> suffix_min(init_len + 1, maxTick);
             for (std::size_t j = init_len; j-- > 0;) {
                 const FuncId f = cseq[j].func;
-                const Tick first_start = tl->first_call_start[f];
+                const Tick first_start = tl.firstCallStart[f];
                 Tick slack = maxTick;
                 if (first_start != maxTick)
-                    slack = first_start - tl->event_completion[j];
+                    slack = first_start - tl.eventCompletion[j];
                 suffix_min[j] = std::min(slack, suffix_min[j + 1]);
             }
 
@@ -259,17 +201,20 @@ iarSchedule(const Workload &w, const std::vector<CandidatePair> &cands,
             // The condition above ignores that faster execution pulls
             // later first-calls earlier; verify and keep only if the
             // schedule did not get worse.
-            TimelineObserver *tl2 = nullptr;
-            const SimResult after =
-                timeSchedule(w, candidate, tl2, observers);
+            // Only a further round reads first-call starts.
+            SimFacts tl2;
+            tl2.wantFirstCallStarts = round + 1 < cfg.maxSlackRounds;
+            SimResult after = simulate(w, candidate, SimOptions{}, tl2);
             if (after.makespan > prev.makespan)
                 break;
             cseq = std::move(candidate);
             appended_pos = std::move(new_pos);
             result.slackUpgrades += upgraded.size();
-            prev = after;
-            tl = tl2;
+            prev = std::move(after);
+            tl = std::move(tl2);
         }
+        cseq_sim = std::move(prev);
+        cseq_facts = std::move(tl);
     }
 
     // ---------------------------------------------------------------
@@ -279,9 +224,9 @@ iarSchedule(const Workload &w, const std::vector<CandidatePair> &cands,
     // the ones with the most calls left.
     // ---------------------------------------------------------------
     if (cfg.fillEndingGap) {
-        TimelineObserver *tl = nullptr;
-        const SimResult res = timeSchedule(w, cseq, tl, observers);
-        Tick gap = res.execEnd - res.compileEnd;
+        if (!cseq_sim)
+            cseq_sim = simulate(w, cseq, SimOptions{}, cseq_facts);
+        Tick gap = cseq_sim->execEnd - cseq_sim->compileEnd;
         if (gap > 0) {
             std::vector<Level> scheduled_level(w.numFunctions(), 0);
             for (const CompileEvent &ev : cseq.events())
@@ -299,9 +244,11 @@ iarSchedule(const Workload &w, const std::vector<CandidatePair> &cands,
                     continue;
                 if (scheduled_level[f] >= cands[f].high)
                     continue;
-                if (tl->calls_after[f] == 0)
+                const std::uint64_t calls_after =
+                    costs[f].n - cseq_facts.callsBeforeCompileEnd[f];
+                if (calls_after == 0)
                     continue;
-                pool.push_back({f, tl->calls_after[f]});
+                pool.push_back({f, calls_after});
             }
             std::sort(pool.begin(), pool.end(),
                       [](const GapCand &a, const GapCand &b) {
@@ -316,6 +263,7 @@ iarSchedule(const Workload &w, const std::vector<CandidatePair> &cands,
                 cseq.append(gc.func, cands[gc.func].high);
                 gap -= ch;
                 ++result.gapAppends;
+                cseq_sim.reset();
             }
         }
     }
@@ -325,11 +273,15 @@ iarSchedule(const Workload &w, const std::vector<CandidatePair> &cands,
     // first call by more than the upgrade saves.  One simulation
     // against the untouched init schedule turns "never worse than
     // base-only" from an empirical tendency into an invariant.
+    result.sim = init_res;
     if (cseq != init_seq) {
-        const SimResult final_res = simulate(w, cseq, SimOptions{});
-        if (final_res.makespan > init_res.makespan) {
+        if (!cseq_sim)
+            cseq_sim = simulate(w, cseq, SimOptions{});
+        if (cseq_sim->makespan > init_res.makespan) {
             cseq = init_seq;
             result.refinementDiscarded = true;
+        } else {
+            result.sim = std::move(*cseq_sim);
         }
     }
 
@@ -352,9 +304,10 @@ iarScheduleOracle(const Workload &w, const IarConfig &cfg)
 IarBound
 iarUpperBound(const Workload &w, const IarConfig &cfg)
 {
+    IarResult res = iarScheduleOracle(w, cfg);
     IarBound bound;
-    bound.schedule = iarScheduleOracle(w, cfg).schedule;
-    bound.makespan = simulate(w, bound.schedule, SimOptions{}).makespan;
+    bound.schedule = std::move(res.schedule);
+    bound.makespan = res.sim.makespan;
     return bound;
 }
 

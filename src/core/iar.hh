@@ -19,6 +19,10 @@
  *   compiles of still-unoptimized functions, most-remaining-calls
  *   first.
  *
+ * Every step times the schedule with the simulator's bounded walk
+ * (sim/makespan.hh): calls are walked only until the compile end,
+ * and step 3 adds a light walk to the last first call.
+ *
  * Complexity: O(N + M log M) for N calls and M functions.
  */
 
@@ -30,6 +34,7 @@
 
 #include "core/candidate_levels.hh"
 #include "core/schedule.hh"
+#include "sim/makespan.hh"
 #include "trace/workload.hh"
 
 namespace jitsched {
@@ -78,6 +83,13 @@ struct IarResult
      * invariant rather than a tendency.
      */
     bool refinementDiscarded = false;
+
+    /**
+     * simulate(w, schedule) under default SimOptions (one compile
+     * core, no jitter): IAR prices the schedule it returns, so
+     * callers with those options need not simulate it again.
+     */
+    SimResult sim;
 };
 
 /**

@@ -10,8 +10,14 @@ Tick
 lowerBoundAllLevels(const Workload &w)
 {
     Tick total = 0;
-    for (const FuncId f : w.calls())
-        total += w.function(f).execTime(w.function(f).highestLevel());
+    for (std::size_t i = 0; i < w.numFunctions(); ++i) {
+        const auto f = static_cast<FuncId>(i);
+        const std::uint64_t n = w.callCount(f);
+        if (n == 0)
+            continue;
+        const auto &prof = w.function(f);
+        total += static_cast<Tick>(n) * prof.execTime(prof.highestLevel());
+    }
     return total;
 }
 
@@ -24,11 +30,15 @@ lowerBoundCandidates(const Workload &w,
                        cands.size(), " functions, workload has ",
                        w.numFunctions());
     Tick total = 0;
-    for (const FuncId f : w.calls()) {
+    for (std::size_t i = 0; i < w.numFunctions(); ++i) {
+        const auto f = static_cast<FuncId>(i);
+        const std::uint64_t n = w.callCount(f);
+        if (n == 0)
+            continue;
         const auto &prof = w.function(f);
         const Tick e_low = prof.execTime(cands[f].low);
         const Tick e_high = prof.execTime(cands[f].high);
-        total += std::min(e_low, e_high);
+        total += static_cast<Tick>(n) * std::min(e_low, e_high);
     }
     return total;
 }

@@ -7,7 +7,8 @@
  * execution thread must at least run every call, even if every
  * compilation were free and instantaneous.  Together with an
  * attainable schedule (IAR), the bound brackets the unknown minimum
- * make-span.
+ * make-span.  Both bounds sum per function, n(f) times its fastest
+ * time, so they cost O(functions), not O(calls).
  */
 
 #ifndef JITSCHED_CORE_LOWER_BOUND_HH

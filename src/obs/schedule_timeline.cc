@@ -25,11 +25,11 @@ namespace {
  * waiting on its function's first compilation — exactly the gap
  * simulate() books as bubble time.
  */
-class TimelineObserver : public SimObserver
+class SliceObserver : public SimObserver
 {
   public:
-    TimelineObserver(const Workload &w, std::size_t compile_cores,
-                     std::vector<TimelineSlice> &out)
+    SliceObserver(const Workload &w, std::size_t compile_cores,
+                  std::vector<TimelineSlice> &out)
         : w_(w), core_free_(compile_cores, 0), out_(out)
     {
     }
@@ -110,7 +110,7 @@ buildScheduleTimeline(const Workload &w, const Schedule &s,
 {
     ScheduleTimeline timeline;
     timeline.compileCores = opts.compileCores;
-    TimelineObserver observer(w, opts.compileCores, timeline.slices);
+    SliceObserver observer(w, opts.compileCores, timeline.slices);
     timeline.sim = simulate(w, s, opts, observer);
     return timeline;
 }

@@ -71,6 +71,33 @@ class Capture : public SimObserver
     }
 };
 
+/** First SimResult field on which @p a and @p b differ, or "". */
+std::string
+simDifference(const SimResult &a, const SimResult &b)
+{
+    const auto field = [](const char *name, auto x, auto y) {
+        return std::string(name) + " " + std::to_string(x) + " != " +
+               std::to_string(y);
+    };
+    if (a.makespan != b.makespan)
+        return field("makespan", a.makespan, b.makespan);
+    if (a.execEnd != b.execEnd)
+        return field("execEnd", a.execEnd, b.execEnd);
+    if (a.compileEnd != b.compileEnd)
+        return field("compileEnd", a.compileEnd, b.compileEnd);
+    if (a.totalBubble != b.totalBubble)
+        return field("totalBubble", a.totalBubble, b.totalBubble);
+    if (a.bubbleCount != b.bubbleCount)
+        return field("bubbleCount", a.bubbleCount, b.bubbleCount);
+    if (a.totalExec != b.totalExec)
+        return field("totalExec", a.totalExec, b.totalExec);
+    if (a.totalCompile != b.totalCompile)
+        return field("totalCompile", a.totalCompile, b.totalCompile);
+    if (a.callsAtLevel != b.callsAtLevel)
+        return "callsAtLevel differs";
+    return "";
+}
+
 } // anonymous namespace
 
 Tick
@@ -216,6 +243,23 @@ checkScheduleSemantics(const Workload &w, const Schedule &s,
                who + ": callsAtLevel sums to " +
                    std::to_string(at_levels) + " over " +
                    std::to_string(w.numCalls()) + " calls");
+
+    // The observer-free run, the one the daemon takes, folds the tail
+    // once the compile cores are idle; it must agree with the
+    // observed full walk on every field, at one core and at several.
+    for (const std::size_t cores : {1u, 2u, 3u}) {
+        const SimOptions so{.compileCores = cores};
+        SimObserver full_walk;
+        const SimResult walked =
+            cores == 1 ? res : simulate(w, s, so, full_walk);
+        const std::string diff = simDifference(simulate(w, s, so), walked);
+        if (!diff.empty())
+            report(out, "sim-agreement",
+                   who + ": observer-free run at " +
+                       std::to_string(cores) +
+                       " compile cores: " + diff +
+                       " (observed walk)");
+    }
 }
 
 void

@@ -145,8 +145,11 @@ Tick referenceMakespan(const Workload &w, const Schedule &s);
 /**
  * Schedule validity + simulator agreement for one schedule: the
  * schedule validates, simulate() matches referenceMakespan(), the
- * time decomposition holds, and every call used the right compiled
- * version.  @p who names the producing solver in violation reports.
+ * time decomposition holds, every call used the right compiled
+ * version, and the observer-free simulate() (which folds the tail
+ * once the compile cores are idle) returns the same SimResult as the
+ * observed full walk at 1, 2 and 3 compile cores.  @p who names the
+ * producing solver in violation reports.
  */
 void checkScheduleSemantics(const Workload &w, const Schedule &s,
                             const std::string &who,

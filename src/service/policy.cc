@@ -71,9 +71,20 @@ class IarPolicy final : public SchedulerPolicy
     PolicyOutcome
     run(const Workload &w, const ServiceOptions &opts) const override
     {
-        return staticOutcome(w, opts, [&](const auto &cands) {
-            return iarSchedule(w, cands).schedule;
-        });
+        const std::vector<CandidatePair> cands =
+            modelCandidateLevels(w, modelConfig(opts));
+        IarResult res = iarSchedule(w, cands);
+        PolicyOutcome out;
+        out.lowerBound = lowerBoundCandidates(w, cands);
+        out.schedule = std::move(res.schedule);
+        out.hasSchedule = true;
+        // IAR already priced its schedule under the default options.
+        const SimOptions so = simOptions(opts);
+        out.sim = so.compileCores == 1 && so.execJitterSigma == 0.0
+                      ? std::move(res.sim)
+                      : simulate(w, out.schedule, so);
+        out.hasSim = true;
+        return out;
     }
 };
 
@@ -154,6 +165,10 @@ class AStarPolicy final : public SchedulerPolicy
         AStarConfig cfg;
         cfg.memoryBudget = opts.astarMemoryMb << 20;
         cfg.maxExpansions = opts.astarMaxExpansions;
+        // A request deadline stops the search too: a refusal by then
+        // beats holding the solver past the point the client waits.
+        if (opts.deadlineMs > 0)
+            cfg.anytimeDeadlineMs = opts.deadlineMs;
         const AStarResult res = aStarOptimal(w, cfg);
 
         PolicyOutcome out;
@@ -161,11 +176,16 @@ class AStarPolicy final : public SchedulerPolicy
             w, modelCandidateLevels(w, modelConfig(opts)));
         if (res.status != AStarStatus::Optimal) {
             out.ok = false;
+            std::string why;
+            if (res.status == AStarStatus::OutOfMemory)
+                why = "node store exceeded the memory budget";
+            else if (res.status == AStarStatus::Deadline)
+                why = detail::concat("deadline of ", cfg.anytimeDeadlineMs,
+                                     " ms hit");
+            else
+                why = "expansion cap hit";
             out.error = detail::concat(
-                "A* gave up without an optimal schedule (",
-                res.status == AStarStatus::OutOfMemory
-                    ? "node store exceeded the memory budget"
-                    : "expansion cap hit",
+                "A* gave up without an optimal schedule (", why,
                 " after ", res.nodesExpanded, " expansions)");
             return out;
         }

@@ -83,7 +83,9 @@ struct ServiceOptions
 
     /**
      * Request deadline in milliseconds from admission; -1 = none.
-     * Enforced by the admission queue, not by the solvers.
+     * The admission queue expires requests that wait past it; a
+     * positive value is also the astar and astar-par policies'
+     * anytime stop, counted from the start of the search.
      */
     std::int64_t deadlineMs = -1;
 

@@ -14,7 +14,24 @@ namespace {
 struct Version
 {
     Tick completion;
+    Tick exec; ///< per-call execution time of this version's level
     Level level;
+};
+
+/**
+ * One function's group in the flat version table.  Versions sit in
+ * schedule order, which per function is both completion order and
+ * level order (levels strictly increase per function).
+ */
+struct FuncSlot
+{
+    /**
+     * Version the previous call used; only moves forward because
+     * call start times are non-decreasing.
+     */
+    std::uint32_t cur = 0;
+    std::uint32_t end = 0;    ///< one past the function's last version
+    std::uint64_t walked = 0; ///< calls the per-call loop executed
 };
 
 /** SplitMix64 finalizer, used to hash per-call jitter draws. */
@@ -48,13 +65,9 @@ jitterFactor(std::uint64_t seed, std::uint64_t call_index,
     return std::exp(sigma * g - 0.5 * sigma * sigma);
 }
 
-class NullObserver : public SimObserver
-{
-};
-
 SimResult
 run(const Workload &w, const Schedule &s, const SimOptions &opts,
-    SimObserver &observer)
+    SimObserver *observer, SimFacts *facts)
 {
     std::string err;
     if (!s.validate(w, &err))
@@ -66,48 +79,72 @@ run(const Workload &w, const Schedule &s, const SimOptions &opts,
 
     // --- Compilation side: schedule events in order on the cores.
     //
-    // Per function we record the version list sorted by completion
-    // time; levels strictly increase per function, so later versions
-    // are both later-completing and deeper-optimized.
-    CompileQueue queue(opts.compileCores);
-    std::vector<std::vector<Version>> versions(w.numFunctions());
+    // Versions go into one flat table grouped per function; a
+    // counting pass over the events sizes the groups.
     const auto &events = s.events();
+    const std::size_t num_funcs = w.numFunctions();
+    std::vector<FuncSlot> slots(num_funcs);
+    for (const CompileEvent &ev : events)
+        ++slots[ev.func].end;
+    std::uint32_t offset = 0;
+    for (FuncSlot &slot : slots) {
+        const std::uint32_t count = slot.end;
+        slot.cur = slot.end = offset;
+        offset += count;
+    }
+    std::vector<Version> versions(events.size());
+    if (facts != nullptr)
+        facts->eventCompletion.resize(events.size());
+    CompileQueue queue(opts.compileCores);
     for (std::size_t i = 0; i < events.size(); ++i) {
         const CompileEvent &ev = events[i];
-        const Tick dur = w.function(ev.func).compileTime(ev.level);
-        const Tick done = queue.submit(0, dur);
-        versions[ev.func].push_back({done, ev.level});
-        observer.onCompiled(i, ev, done);
+        const FunctionProfile &prof = w.function(ev.func);
+        const Tick done = queue.submit(0, prof.compileTime(ev.level));
+        versions[slots[ev.func].end++] = {done, prof.execTime(ev.level),
+                                          ev.level};
+        if (observer != nullptr)
+            observer->onCompiled(i, ev, done);
+        if (facts != nullptr)
+            facts->eventCompletion[i] = done;
     }
     res.compileEnd = queue.allDone();
     res.totalCompile = queue.busyTime();
 
     // --- Execution side: one thread, calls in order.
     //
-    // next_version[f] points at the version the previous call of f
-    // used; it only moves forward because call start times are
-    // non-decreasing and per-function completions are sorted.
-    std::vector<std::uint32_t> cur_version(w.numFunctions(), 0);
+    // Without an observer or jitter the walk stops once the clock
+    // reaches the compile end; the tail is folded below.
+    const bool fold = observer == nullptr && opts.execJitterSigma == 0.0;
+    const Tick fold_at = fold ? res.compileEnd : maxTick;
+    if (facts != nullptr) {
+        facts->callsBeforeCompileEnd.assign(num_funcs, 0);
+        facts->firstCallStart.clear();
+        if (facts->wantFirstCallStarts)
+            facts->firstCallStart.assign(num_funcs, maxTick);
+    }
     Tick now = 0;
     const auto &calls = w.calls();
-    for (std::size_t i = 0; i < calls.size(); ++i) {
+    std::size_t i = 0;
+    for (; i < calls.size() && now < fold_at; ++i) {
         const FuncId f = calls[i];
-        const auto &vers = versions[f];
-        const Tick first_ready = vers.front().completion;
-        const Tick start = std::max(now, first_ready);
+        FuncSlot &slot = slots[f];
+        // A call waits for its function's first version.  Once the
+        // cursor has moved past it, the version in use completed at
+        // or before an earlier call's start, so max() leaves `now`.
+        std::uint32_t v = slot.cur;
+        const Tick start = std::max(now, versions[v].completion);
         if (start > now) {
             res.totalBubble += start - now;
             ++res.bubbleCount;
         }
 
         // Latest compilation completed at or before `start` wins.
-        std::uint32_t v = cur_version[f];
-        while (v + 1 < vers.size() && vers[v + 1].completion <= start)
+        while (v + 1 < slot.end && versions[v + 1].completion <= start)
             ++v;
-        cur_version[f] = v;
+        slot.cur = v;
 
-        const Level level = vers[v].level;
-        Tick dur = w.function(f).execTime(level);
+        const Level level = versions[v].level;
+        Tick dur = versions[v].exec;
         if (opts.execJitterSigma > 0.0) {
             const double jittered =
                 static_cast<double>(dur) *
@@ -116,10 +153,48 @@ run(const Workload &w, const Schedule &s, const SimOptions &opts,
             dur = std::max<Tick>(
                 1, static_cast<Tick>(std::llround(jittered)));
         }
-        observer.onCall(i, f, start, dur, level);
+        if (observer != nullptr)
+            observer->onCall(i, f, start, dur, level);
+        if (facts != nullptr) {
+            if (start < res.compileEnd)
+                ++facts->callsBeforeCompileEnd[f];
+            if (facts->wantFirstCallStarts && slot.walked == 0)
+                facts->firstCallStart[f] = start;
+        }
+        ++slot.walked;
         now = start + dur;
         res.totalExec += dur;
         ++res.callsAtLevel[level];
+    }
+
+    if (i < calls.size()) {
+        // The compile cores are idle from here on: every remaining
+        // call starts without a bubble and runs its function's last
+        // version.  Time the first calls still missing with a light
+        // walk, then fold the tail per function.
+        if (facts != nullptr && facts->wantFirstCallStarts) {
+            const std::size_t last_first = static_cast<std::size_t>(
+                w.firstCallIndex(w.firstAppearanceOrder().back()));
+            Tick t = now;
+            for (std::size_t j = i; j <= last_first; ++j) {
+                const FuncId f = calls[j];
+                if (facts->firstCallStart[f] == maxTick)
+                    facts->firstCallStart[f] = t;
+                t += versions[slots[f].end - 1].exec;
+            }
+        }
+        for (std::size_t f = 0; f < num_funcs; ++f) {
+            const FuncSlot &slot = slots[f];
+            const std::uint64_t left =
+                w.callCount(static_cast<FuncId>(f)) - slot.walked;
+            if (left == 0)
+                continue;
+            const Version &last = versions[slot.end - 1];
+            const Tick exec = static_cast<Tick>(left) * last.exec;
+            now += exec;
+            res.totalExec += exec;
+            res.callsAtLevel[last.level] += left;
+        }
     }
 
     res.execEnd = now;
@@ -132,15 +207,21 @@ run(const Workload &w, const Schedule &s, const SimOptions &opts,
 SimResult
 simulate(const Workload &w, const Schedule &s, const SimOptions &opts)
 {
-    NullObserver observer;
-    return run(w, s, opts, observer);
+    return run(w, s, opts, nullptr, nullptr);
 }
 
 SimResult
 simulate(const Workload &w, const Schedule &s, const SimOptions &opts,
          SimObserver &observer)
 {
-    return run(w, s, opts, observer);
+    return run(w, s, opts, &observer, nullptr);
+}
+
+SimResult
+simulate(const Workload &w, const Schedule &s, const SimOptions &opts,
+         SimFacts &facts)
+{
+    return run(w, s, opts, nullptr, &facts);
 }
 
 } // namespace jitsched

@@ -18,6 +18,16 @@
  *    of its function that completed at or before t.
  *  - The make-span is the time from the first compilation (t = 0) to
  *    the end of the last call.
+ *
+ * Once the execution clock reaches the compile end, no compilation is
+ * pending: every later call starts right after the previous one and
+ * runs its function's last compiled version.  So when nothing needs
+ * per-call detail (no observer) and every call of a function costs
+ * the same (no jitter), the walk stops at the first call whose clock
+ * has reached the compile end and folds the rest as
+ * sum over f of (calls of f left) * e(f, last level) — O(functions),
+ * not O(calls).  Observers and jitter keep the full walk: observers
+ * want every call, and jitter is drawn per call index.
  */
 
 #ifndef JITSCHED_SIM_MAKESPAN_HH
@@ -82,8 +92,41 @@ struct SimResult
 };
 
 /**
- * Observer hook for per-call detail, used by the IAR refinement steps
- * and by tests that inspect the timeline.
+ * Timeline facts the IAR refinement steps (core/iar.cc) read off one
+ * simulation.  They are an optional output of the same walk that
+ * computes the SimResult, so asking for them never turns off the
+ * tail fold.
+ */
+struct SimFacts
+{
+    /**
+     * Input: also fill firstCallStart.  Starts of functions first
+     * called past the fold point come from a light walk from the fold
+     * point to the last first call, adding last-version execution
+     * times; nothing else needs that walk, so it is opt-in.
+     */
+    bool wantFirstCallStarts = false;
+
+    /** Completion time of each schedule event, in schedule order. */
+    std::vector<Tick> eventCompletion;
+
+    /**
+     * Per function: calls that start strictly before the compile end.
+     * The function's other calls start at or after it.
+     */
+    std::vector<std::uint64_t> callsBeforeCompileEnd;
+
+    /**
+     * Per function: start time of its first call, maxTick when it is
+     * never called.  Empty unless wantFirstCallStarts is set.
+     */
+    std::vector<Tick> firstCallStart;
+};
+
+/**
+ * Observer hook for per-call detail, used by the schedule timeline
+ * (obs/schedule_timeline.hh), the qa oracles and tests that inspect
+ * the timeline.  An observed run always walks every call.
  */
 class SimObserver
 {
@@ -123,6 +166,10 @@ SimResult simulate(const Workload &w, const Schedule &s,
 /** Evaluate a schedule while streaming per-event detail. */
 SimResult simulate(const Workload &w, const Schedule &s,
                    const SimOptions &opts, SimObserver &observer);
+
+/** Evaluate a schedule and gather the IAR timeline facts. */
+SimResult simulate(const Workload &w, const Schedule &s,
+                   const SimOptions &opts, SimFacts &facts);
 
 } // namespace jitsched
 

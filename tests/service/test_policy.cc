@@ -4,8 +4,11 @@
  * and produce sane outcomes on the paper's worked example — schedules
  * whose make-spans respect the lower bound, an A* that is at least as
  * good as IAR, and explicit refusals, with their exact text, when
- * A*'s expansion or memory budget is tiny.
+ * A*'s expansion or memory budget is tiny or the request's deadline
+ * passes.
  */
+
+#include <chrono>
 
 #include <gtest/gtest.h>
 
@@ -110,6 +113,33 @@ TEST_F(PolicyTest, AStarRefusesExplicitlyWhenMemoryIsTiny)
     EXPECT_EQ(out.error,
               "A* gave up without an optimal schedule (node store "
               "exceeded the memory budget after 1 expansions)");
+}
+
+TEST_F(PolicyTest, AStarStopsAtTheRequestDeadline)
+{
+    // Seven functions on three levels: the default budgets refuse
+    // this draw only when the 250,000-expansion cap trips, seconds
+    // in.  A 100 ms request deadline must stop the search by then.
+    SyntheticConfig cfg;
+    cfg.numFunctions = 7;
+    cfg.numCalls = 40;
+    cfg.numLevels = 3;
+    cfg.numPhases = 2;
+    cfg.seed = 2;
+    ServiceOptions opts;
+    opts.deadlineMs = 100;
+    const auto t0 = std::chrono::steady_clock::now();
+    const PolicyOutcome out = run("astar", generateSynthetic(cfg), opts);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    EXPECT_FALSE(out.ok);
+    EXPECT_TRUE(out.error.starts_with(
+        "A* gave up without an optimal schedule (deadline of 100 ms "
+        "hit after "))
+        << out.error;
+    EXPECT_TRUE(out.error.ends_with(" expansions)")) << out.error;
+    EXPECT_LT(secs, 2.0);
 }
 
 TEST_F(PolicyTest, AStarParMatchesAStarAtEveryWorkerCount)

@@ -1,15 +1,22 @@
 /**
  * @file
  * Unit tests for the make-span simulator — anchored on the paper's
- * Fig. 1 and Fig. 2 worked examples.
+ * Fig. 1 and Fig. 2 worked examples — and for its tail fold: the
+ * observer-free run stops walking calls once the clock reaches the
+ * compile end, and must agree on every field with the observed run,
+ * which walks every call.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "core/iar.hh"
+#include "core/single_level.hh"
+#include "qa/oracles.hh"
 #include "sim/makespan.hh"
 #include "trace/paper_examples.hh"
+#include "trace/synthetic.hh"
 
 namespace jitsched {
 namespace {
@@ -191,6 +198,191 @@ TEST(Makespan, ObserverSeesFullTimeline)
     EXPECT_EQ(obs.calls[2].start, 5);
     EXPECT_EQ(obs.calls[3].start, 8);
     EXPECT_EQ(obs.calls[3].level, 1);
+}
+
+/** The facts IAR reads, collected call by call from the full walk. */
+class FactsObserver : public SimObserver
+{
+  public:
+    FactsObserver(std::size_t funcs, std::size_t events)
+        : before(funcs, 0), first(funcs, maxTick), completion(events)
+    {
+    }
+
+    void
+    onCompiled(std::size_t idx, const CompileEvent &,
+               Tick done) override
+    {
+        completion[idx] = done;
+        end_ = std::max(end_, done);
+    }
+
+    void
+    onCall(std::size_t, FuncId f, Tick start, Tick, Level) override
+    {
+        if (start < end_)
+            ++before[f];
+        if (first[f] == maxTick)
+            first[f] = start;
+    }
+
+    std::vector<std::uint64_t> before;
+    std::vector<Tick> first;
+    std::vector<Tick> completion;
+
+  private:
+    Tick end_ = 0;
+};
+
+/**
+ * The observer-free run equals the full walk on every field, and on
+ * one compile core without jitter it equals the independent replay.
+ * The facts the same walk gathers equal those read call by call.
+ */
+void
+expectFoldAgrees(const Workload &w, const Schedule &s,
+                 const SimOptions &opts = {})
+{
+    FactsObserver observed(w.numFunctions(), s.size());
+    const SimResult walked = simulate(w, s, opts, observed);
+    const SimResult folded = simulate(w, s, opts);
+    for (const bool starts : {false, true}) {
+        SimFacts facts;
+        facts.wantFirstCallStarts = starts;
+        EXPECT_EQ(simulate(w, s, opts, facts).makespan, walked.makespan);
+        EXPECT_EQ(facts.eventCompletion, observed.completion);
+        EXPECT_EQ(facts.callsBeforeCompileEnd, observed.before);
+        if (starts) {
+            EXPECT_EQ(facts.firstCallStart, observed.first);
+        } else {
+            EXPECT_TRUE(facts.firstCallStart.empty());
+        }
+    }
+    EXPECT_EQ(folded.makespan, walked.makespan);
+    EXPECT_EQ(folded.execEnd, walked.execEnd);
+    EXPECT_EQ(folded.compileEnd, walked.compileEnd);
+    EXPECT_EQ(folded.totalBubble, walked.totalBubble);
+    EXPECT_EQ(folded.bubbleCount, walked.bubbleCount);
+    EXPECT_EQ(folded.totalExec, walked.totalExec);
+    EXPECT_EQ(folded.totalCompile, walked.totalCompile);
+    EXPECT_EQ(folded.callsAtLevel, walked.callsAtLevel);
+    if (opts.compileCores == 1 && opts.execJitterSigma == 0.0) {
+        EXPECT_EQ(folded.makespan, qa::referenceMakespan(w, s));
+    }
+}
+
+TEST(MakespanFold, CompileEndAfterTheLastCall)
+{
+    // The recompile ends at 101, after the last call ends at 7: the
+    // clock never reaches the compile end, so nothing is folded.
+    std::vector<FunctionProfile> funcs;
+    funcs.emplace_back("f", 1,
+                       std::vector<LevelCosts>{{1, 2}, {100, 1}});
+    const Workload w("w", std::move(funcs), {0, 0, 0});
+    const Schedule s({{0, 0}, {0, 1}});
+    expectFoldAgrees(w, s);
+    EXPECT_EQ(simulate(w, s).makespan, 7);
+    EXPECT_EQ(simulate(w, s).callsAtLevel[1], 0u);
+}
+
+TEST(MakespanFold, CallStartingExactlyAtTheCompileEnd)
+{
+    // Compiles end at 2 and 12; the second call starts at 12, the
+    // compile end, so it and every later call run level 1 and fold:
+    // [2,12) at level 0, then three calls of 1.
+    std::vector<FunctionProfile> funcs;
+    funcs.emplace_back("f", 1,
+                       std::vector<LevelCosts>{{2, 10}, {10, 1}});
+    const Workload w("w", std::move(funcs), {0, 0, 0, 0});
+    const Schedule s({{0, 0}, {0, 1}});
+    expectFoldAgrees(w, s);
+    const SimResult r = simulate(w, s);
+    EXPECT_EQ(r.makespan, 15);
+    EXPECT_EQ(r.callsAtLevel[0], 1u);
+    EXPECT_EQ(r.callsAtLevel[1], 3u);
+}
+
+TEST(MakespanFold, BubbleEndingExactlyAtTheCompileEnd)
+{
+    // g's only compile is the last event, done at 10: its first call
+    // waits until the compile end (a bubble of 8 after f's of 1) and
+    // runs [10,13); the last three calls fold.
+    std::vector<FunctionProfile> funcs;
+    funcs.emplace_back("f", 1, std::vector<LevelCosts>{{1, 1}});
+    funcs.emplace_back("g", 1, std::vector<LevelCosts>{{9, 3}});
+    const Workload w("w", std::move(funcs), {0, 1, 0, 1, 0});
+    const Schedule s({{0, 0}, {1, 0}});
+    expectFoldAgrees(w, s);
+    const SimResult r = simulate(w, s);
+    EXPECT_EQ(r.totalBubble, 1 + 8);
+    EXPECT_EQ(r.bubbleCount, 2u);
+    EXPECT_EQ(r.makespan, 10 + 3 + 1 + 3 + 1);
+}
+
+TEST(MakespanFold, FunctionThatIsNeverCalled)
+{
+    // f1 is never called: compiled or not, it adds nothing to the
+    // folded tail.
+    std::vector<FunctionProfile> funcs;
+    funcs.emplace_back("f0", 1,
+                       std::vector<LevelCosts>{{1, 4}, {3, 1}});
+    funcs.emplace_back("f1", 1,
+                       std::vector<LevelCosts>{{2, 5}, {6, 2}});
+    funcs.emplace_back("f2", 1, std::vector<LevelCosts>{{1, 2}});
+    const Workload w("w", std::move(funcs), {0, 2, 0, 0, 2, 0, 0});
+    expectFoldAgrees(w, Schedule({{0, 0}, {2, 0}, {0, 1}}));
+    expectFoldAgrees(w, Schedule({{0, 0}, {2, 0}, {1, 0}, {0, 1}}));
+    expectFoldAgrees(w, Schedule({{1, 1}, {0, 0}, {2, 0}}));
+}
+
+TEST(MakespanFold, SeveralCompileCores)
+{
+    SyntheticConfig cfg;
+    cfg.numFunctions = 40;
+    cfg.numCalls = 4000;
+    cfg.numLevels = 3;
+    cfg.seed = 7;
+    const Workload w = generateSynthetic(cfg);
+    const Schedule iar = iarScheduleOracle(w).schedule;
+    const auto cands = oracleCandidateLevels(w);
+    const Schedule opt = optimizingLevelSchedule(w, cands);
+    for (const std::size_t cores : {1u, 2u, 3u, 8u}) {
+        expectFoldAgrees(w, iar, {.compileCores = cores});
+        expectFoldAgrees(w, opt, {.compileCores = cores});
+    }
+    expectFoldAgrees(figure1Workload(), figureSchemeS2(),
+                     {.compileCores = 2});
+}
+
+TEST(MakespanFold, JitterKeepsTheFullWalk)
+{
+    // Jitter is drawn per call index, so a fold would misprice the
+    // tail; the jittered run must still match the observed one, and
+    // differ from the unjittered one.
+    SyntheticConfig cfg;
+    cfg.numFunctions = 30;
+    cfg.numCalls = 3000;
+    cfg.seed = 11;
+    const Workload w = generateSynthetic(cfg);
+    const Schedule s = iarScheduleOracle(w).schedule;
+    const SimOptions jitter{.execJitterSigma = 0.3, .jitterSeed = 5};
+    expectFoldAgrees(w, s, jitter);
+    expectFoldAgrees(w, s, {.compileCores = 2, .execJitterSigma = 0.3});
+    EXPECT_NE(simulate(w, s, jitter).totalExec, simulate(w, s).totalExec);
+}
+
+TEST(MakespanFold, FactsOnBaseOptAndIarSchedules)
+{
+    SyntheticConfig cfg;
+    cfg.numFunctions = 50;
+    cfg.numCalls = 5000;
+    cfg.numLevels = 3;
+    cfg.seed = 3;
+    const Workload w = generateSynthetic(cfg);
+    const auto cands = oracleCandidateLevels(w);
+    expectFoldAgrees(w, baseLevelSchedule(w, cands));
+    expectFoldAgrees(w, optimizingLevelSchedule(w, cands));
+    expectFoldAgrees(w, iarScheduleOracle(w).schedule);
 }
 
 TEST(MakespanDeath, InvalidSchedulePanics)
